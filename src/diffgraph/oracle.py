@@ -15,16 +15,38 @@ one W satisfies the single-door criterion everywhere.  Verdicts therefore
 serve as an independent oracle for the closed-form conditions, which is the
 whole point: the two must agree wherever the conditions are correct.
 
-Enumeration is exponential and capped at 5 vertices.  Internally DAGs are
-integer bitmasks over the ordered vertex pairs, and per-DAG admissible-set
-families are memoized, so sweeping thousands of small difference graphs
-stays cheap.
+Enumeration is exponential and capped at 5 vertices.  Internally vertices
+are 0..n-1, a vertex set is an int bitmask, and a digraph is an int edge
+mask over the ordered pairs of :func:`_pairs` (row-major, so bits
+k*(n-1) .. (k+1)*(n-1)-1 hold the out-edges of vertex k).  A query builds
+no :class:`CausalDag` except the two of a NotIdentifiable witness:
+
+* Every DAG on n vertices is enumerated once per n with numpy (each
+  permutation times every subset of its forward pairs, deduplicated).
+* A digraph is acyclic iff it has no walk of n edges (A^n = 0); the test
+  runs on all masks at once.  A DAG G is compatible with D when G xor D
+  (G or D under a shared order) passes it.
+* d-separation of X and Y by W is decided on parent bitmasks through the
+  moralised ancestral graph (Lauritzen et al. 1990): X and Y are separated
+  iff they are disconnected in the moral graph of the ancestors of
+  {X, Y} and W once W is removed.  Back-door admissibility cuts the edges
+  out of X, single-door admissibility the edge X -> Y, and W must avoid
+  the strict descendants of X (back-door) or Y (single-door).
+
+Memos are functools caches with fixed sizes, so a long sweep keeps bounded
+memory: the DAG enumeration per n, the compatible masks of the last
+COMPATIBLE_MEMO_SIZE difference graphs, and, per DAG mask, the descendant
+sets and admissible-set families of the last MASK_MEMO_SIZE lookups each.
+A repeated query on a difference graph still in the memo is answered from
+it without new graph work.
 """
 
 import itertools
 from functools import lru_cache
 
-from .graphs import CausalDag, DifferenceGraph
+import numpy as np
+
+from .graphs import CausalDag
 from .identify import (
     ADJUSTMENT_IDENTIFIABLE,
     NOT_IDENTIFIABLE,
@@ -37,18 +59,25 @@ from .identify import (
 )
 
 VERTEX_CAP = 5
+# A 5-vertex difference graph can have 17,632 compatible DAGs, about 0.6 MB
+# of memo as a tuple of ints.
+COMPATIBLE_MEMO_SIZE = 32
+# Per-mask memos, each about 6 MB when full.  One cold and one warm pass of
+# the benchmark's verdict-sweep leave at most 9,570 entries in the largest
+# of them, so its warm passes hit.
+MASK_MEMO_SIZE = 1 << 15
 
 
 # ---------------------------------------------------------------------------
-# bitmask internals: vertices are 0..n-1, an edge set is an int over _pairs(n)
+# bitmask internals
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERTEX_CAP + 1)
 def _pairs(n):
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERTEX_CAP + 1)
 def _pair_bit(n):
     return {pair: 1 << k for k, pair in enumerate(_pairs(n))}
 
@@ -65,68 +94,132 @@ def _edges_of(n, mask):
     return [pair for k, pair in enumerate(_pairs(n)) if mask >> k & 1]
 
 
-@lru_cache(maxsize=None)
-def _acyclic(n, mask):
-    children = [[] for _ in range(n)]
-    indegree = [0] * n
-    for i, j in _edges_of(n, mask):
-        children[i].append(j)
-        indegree[j] += 1
-    stack = [v for v in range(n) if indegree[v] == 0]
-    seen = 0
-    while stack:
-        v = stack.pop()
-        seen += 1
-        for c in children[v]:
-            indegree[c] -= 1
-            if indegree[c] == 0:
-                stack.append(c)
-    return seen == n
-
-
-@lru_cache(maxsize=None)
-def _all_dag_masks(n):
-    """Every DAG on n labeled vertices, as a sorted tuple of edge masks.
-
-    Enumerates (permutation, forward-edge subset) pairs, which hits each DAG
-    once per linear extension, and dedupes; far fewer candidates than all
-    2^(n(n-1)) edge sets.
-    """
-    bit = _pair_bit(n)
-    masks = set()
-    forward_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for perm in itertools.permutations(range(n)):
-        bits = [bit[(perm[i], perm[j])] for i, j in forward_pairs]
-        for picks in itertools.product((0, 1), repeat=len(bits)):
-            mask = 0
-            for b, take in zip(bits, picks):
-                if take:
-                    mask |= b
-            masks.add(mask)
-    return tuple(sorted(masks))
-
-
-@lru_cache(maxsize=None)
-def _canonical_dag(n, mask):
-    names = tuple(f"V{i}" for i in range(n))
-    edges = [(names[i], names[j]) for i, j in _edges_of(n, mask)]
+def _dag_from_mask(names, mask):
+    edges = [(names[i], names[j]) for i, j in _edges_of(len(names), mask)]
     return CausalDag(vertices=names, edges=edges)
 
 
-@lru_cache(maxsize=None)
+def _children(n, mask, v):
+    """Children of v as a vertex bitmask: v's row of the mask with a zero
+    bit put back at position v.  Works elementwise on an int array too."""
+    row = mask >> (v * (n - 1)) & ((1 << (n - 1)) - 1)
+    below = (1 << v) - 1
+    return row & below | (row & ~below) << 1
+
+
+def _acyclic(n, masks):
+    """Boolean array: is the digraph of each edge mask in ``masks`` (an int
+    array) acyclic?
+
+    A digraph on n vertices is acyclic iff it has no walk of n edges
+    (A^n = 0).  ``starts`` holds, per graph, the vertices that begin a walk
+    of k edges; a vertex begins a walk of k + 1 edges iff one of its
+    children begins one of k.
+    """
+    children = [_children(n, masks, v) for v in range(n)]
+    starts = np.full(len(masks), (1 << n) - 1, dtype=np.int64)
+    for _ in range(n):
+        longer = np.zeros(len(masks), dtype=np.int64)
+        for v, kids in enumerate(children):
+            longer |= (kids & starts != 0).astype(np.int64) << v
+        starts = longer
+    return starts == 0
+
+
+@lru_cache(maxsize=VERTEX_CAP + 1)
+def _all_dag_masks(n):
+    """Every DAG on n labeled vertices, as a sorted read-only int64 array of
+    edge masks.
+
+    Each permutation contributes every subset of its forward pairs, which
+    hits each DAG once per linear extension; ``np.unique`` dedupes and
+    sorts.
+    """
+    bit = _pair_bit(n)
+    forward = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = len(forward)
+    picks = np.arange(1 << m)[:, None] >> np.arange(m) & 1
+    masks = [picks @ np.array([bit[(perm[i], perm[j])] for i, j in forward],
+                              dtype=np.int64)
+             for perm in itertools.permutations(range(n))]
+    masks = np.unique(np.concatenate(masks))
+    masks.flags.writeable = False
+    return masks
+
+
+def _parent_bits(n, mask):
+    pairs = _pairs(n)
+    parents = [0] * n
+    while mask:
+        low = mask & -mask
+        i, j = pairs[low.bit_length() - 1]
+        parents[j] |= 1 << i
+        mask ^= low
+    return parents
+
+
+@lru_cache(maxsize=MASK_MEMO_SIZE)
 def _descendant_bits(n, mask, v):
-    children = [[] for _ in range(n)]
-    for i, j in _edges_of(n, mask):
-        children[i].append(j)
-    seen = 1 << v
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for c in children[u]:
-            if not seen >> c & 1:
-                seen |= 1 << c
-                stack.append(c)
+    """Reflexive descendants of v in the DAG ``mask``, as a vertex bitmask."""
+    seen = frontier = 1 << v
+    while frontier:
+        reached = 0
+        for u in range(n):
+            if frontier >> u & 1:
+                reached |= _children(n, mask, u)
+        frontier = reached & ~seen
+        seen |= frontier
     return seen
+
+
+@lru_cache(maxsize=MASK_MEMO_SIZE)
+def _admissible_w_bits(n, mask, x, y, criterion):
+    """The family of sets W passing the criterion for (x, y) in the DAG
+    ``mask``, as an int whose bit w is set iff the vertex set with bitmask
+    w passes (W ranges over subsets of V minus {x, y})."""
+    parents = _parent_bits(n, mask)
+    if criterion == "back-door":
+        pivot = x
+        parents = [p & ~(1 << x) for p in parents]
+    else:
+        pivot = y
+        parents[y] &= ~(1 << x)
+    # ancestors in the cut graph (reflexive closure, Warshall on bitmasks)
+    ancestors = [p | 1 << v for v, p in enumerate(parents)]
+    for k in range(n):
+        for v in range(n):
+            if ancestors[v] >> k & 1:
+                ancestors[v] |= ancestors[k]
+    # the moral graph joins the members of each vertex's family pairwise
+    families = [p | 1 << v for v, p in enumerate(parents)]
+    # W may not hold x, y or a strict descendant of the pivot; the loop
+    # steps w through every subset of pool, in increasing order
+    pool = ((1 << n) - 1) & ~(1 << x | 1 << y) \
+        & ~_descendant_bits(n, mask, pivot)
+    ends = ancestors[x] | ancestors[y]
+    found = 0
+    w = 0
+    while True:
+        ancestral = ends
+        for v in range(n):
+            if w >> v & 1:
+                ancestral |= ancestors[v]
+        allowed = ancestral & ~w
+        joins = [f & allowed for v, f in enumerate(families)
+                 if ancestral >> v & 1]
+        reach = 1 << x
+        grown = True
+        while grown and not reach >> y & 1:
+            grown = False
+            for joined in joins:
+                if joined & reach and joined & ~reach:
+                    reach |= joined
+                    grown = True
+        if not reach >> y & 1:
+            found |= 1 << w
+        if w == pool:
+            return found
+        w = (w - pool) & pool
 
 
 def _subset_order_key(n):
@@ -135,29 +228,6 @@ def _subset_order_key(n):
         members = tuple(v for v in range(n) if wbits >> v & 1)
         return (len(members), members)
     return key
-
-
-@lru_cache(maxsize=None)
-def _admissible_w_bits(n, mask, x, y, criterion):
-    """All W passing the criterion in this DAG, as a frozenset of vertex
-    bitmasks over the candidate pool V minus {x, y}."""
-    dag = _canonical_dag(n, mask)
-    names = dag.vertices
-    pool = [v for v in range(n) if v not in (x, y)]
-    good = []
-    for r in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, r):
-            w = frozenset(names[v] for v in combo)
-            if criterion == "back-door":
-                ok = back_door_admissible(dag, names[x], names[y], w)
-            else:
-                ok = single_door_admissible(dag, names[x], names[y], w)
-            if ok:
-                wbits = 0
-                for v in combo:
-                    wbits |= 1 << v
-                good.append(wbits)
-    return frozenset(good)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +283,9 @@ def _checked_setup(d, shared_order):
     return n, index, d_mask
 
 
+@lru_cache(maxsize=COMPATIBLE_MEMO_SIZE)
 def _compatible_masks(n, d_mask, shared_order):
-    """Masks of every DAG appearing in some compatible pair.
+    """Masks of every DAG appearing in some compatible pair, ascending.
 
     A DAG G has a compatible partner exactly when its minimal partner, the
     symmetric difference G xor D, is itself a DAG (adding optional shared
@@ -222,9 +293,9 @@ def _compatible_masks(n, d_mask, shared_order):
     union G with D must be acyclic instead, since the union equals the edge
     union of any pair containing G.
     """
-    if shared_order:
-        return [m for m in _all_dag_masks(n) if _acyclic(n, m | d_mask)]
-    return [m for m in _all_dag_masks(n) if _acyclic(n, m ^ d_mask)]
+    masks = _all_dag_masks(n)
+    combined = masks | d_mask if shared_order else masks ^ d_mask
+    return tuple(masks[_acyclic(n, combined)].tolist())
 
 
 def enumerate_compatible_dags(d, shared_order=False):
@@ -235,12 +306,8 @@ def enumerate_compatible_dags(d, shared_order=False):
     mode when ``d`` is cyclic (no compatible pair exists at all).
     """
     n, _, d_mask = _checked_setup(d, shared_order)
-    names = d.vertices
-    out = []
-    for mask in _compatible_masks(n, d_mask, shared_order):
-        edges = [(names[i], names[j]) for i, j in _edges_of(n, mask)]
-        out.append(CausalDag(vertices=names, edges=edges))
-    return tuple(out)
+    return tuple(_dag_from_mask(d.vertices, mask)
+                 for mask in _compatible_masks(n, d_mask, shared_order))
 
 
 def _oracle(d, x, y, shared_order, criterion):
@@ -268,13 +335,14 @@ def _oracle(d, x, y, shared_order, criterion):
             kind=NULL_EFFECT, formula=direct_null_formula(x, y))
 
     families = [_admissible_w_bits(n, m, xi, yi, criterion) for m in masks]
-    common = None
+    common = -1
     for fam in families:
-        common = fam if common is None else common & fam
+        common &= fam
         if not common:
             break
     if common:
-        wbits = min(common, key=_subset_order_key(n))
+        wbits = min((w for w in range(1 << n) if common >> w & 1),
+                    key=_subset_order_key(n))
         w = tuple(d.vertices[v] for v in range(n) if wbits >> v & 1)
         if criterion == "back-door":
             formula = total_adjustment_formula(x, y, w)
@@ -284,15 +352,11 @@ def _oracle(d, x, y, shared_order, criterion):
             kind=ADJUSTMENT_IDENTIFIABLE, adjustment_set=w, formula=formula)
 
     witness = None
-    names = d.vertices
     for (i, fam_i), (j, fam_j) in itertools.combinations(
             enumerate(families), 2):
         if not fam_i & fam_j:
-            pair = []
-            for m in (masks[i], masks[j]):
-                edges = [(names[a], names[b]) for a, b in _edges_of(n, m)]
-                pair.append(CausalDag(vertices=names, edges=edges))
-            witness = tuple(pair)
+            witness = (_dag_from_mask(d.vertices, masks[i]),
+                       _dag_from_mask(d.vertices, masks[j]))
             break
     return IdentificationVerdict(kind=NOT_IDENTIFIABLE, witness=witness)
 

@@ -19,8 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimate import CONTINUOUS, Dataset
-from .graphs import CausalDag, DifferenceGraph, shares_topological_order
-from .oracle import VERTEX_CAP, enumerate_compatible_dags
+from .graphs import CausalDag, DifferenceGraph
+from .oracle import (
+    VERTEX_CAP,
+    _acyclic,
+    _checked_setup,
+    _compatible_masks,
+    _dag_from_mask,
+    _pair_bit,
+)
 
 GAUSSIAN = "gaussian"
 UNIFORM = "uniform"
@@ -108,27 +115,28 @@ def _draw_coefficient(rng):
     return magnitude if rng.random() < 0.5 else -magnitude
 
 
-def _partner_dags(g1, d, shared_order):
-    """Every DAG forming a compatible pair with ``g1`` under ``d``.
+def _partner_masks(d, g1_mask, shared_order):
+    """Edge masks of every DAG forming a compatible pair with the DAG
+    ``g1_mask`` under ``d`` (vertex indices in ``d``'s order).
 
     A partner must contain the symmetric difference of g1 and the D-edges
     and may add any subset of the D-edges g1 already has (same edge, two
-    coefficients).  Deterministic order.
+    coefficients).  Deterministic order: by subset size, then the D-edges'
+    name order.
     """
-    base = g1.edges ^ d.edges
-    optional = sorted(g1.edges & d.edges)
-    partners = []
-    for r in range(len(optional) + 1):
-        for extra in itertools.combinations(optional, r):
-            edges = base | set(extra)
-            try:
-                g2 = CausalDag(vertices=g1.vertices, edges=edges)
-            except ValueError:
-                continue
-            if shared_order and not shares_topological_order(g1, g2):
-                continue
-            partners.append(g2)
-    return partners
+    n = len(d.vertices)
+    index = {v: i for i, v in enumerate(d.vertices)}
+    bit = _pair_bit(n)
+    d_bits = [bit[(index[t], index[h])] for t, h in sorted(d.edges)]
+    optional = [b for b in d_bits if g1_mask & b]
+    base = g1_mask ^ sum(d_bits)
+    candidates = np.array(
+        [base | sum(extra) for r in range(len(optional) + 1)
+         for extra in itertools.combinations(optional, r)], dtype=np.int64)
+    valid = _acyclic(n, candidates)
+    if shared_order:
+        valid &= _acyclic(n, candidates | g1_mask)
+    return candidates[valid].tolist()
 
 
 def _random_order_pair(d, shared_order, rng):
@@ -205,10 +213,13 @@ def sample_compatible_pair(d, shared_order=False, seed=0):
     """
     rng = np.random.default_rng(seed)
     if len(d.vertices) <= VERTEX_CAP:
-        candidates = enumerate_compatible_dags(d, shared_order)
-        g1 = candidates[int(rng.integers(len(candidates)))]
-        partners = _partner_dags(g1, d, shared_order)
-        g2 = partners[int(rng.integers(len(partners)))]
+        n, _, d_mask = _checked_setup(d, shared_order)
+        candidates = _compatible_masks(n, d_mask, shared_order)
+        g1_mask = candidates[int(rng.integers(len(candidates)))]
+        partners = _partner_masks(d, g1_mask, shared_order)
+        g2_mask = partners[int(rng.integers(len(partners)))]
+        g1 = _dag_from_mask(d.vertices, g1_mask)
+        g2 = _dag_from_mask(d.vertices, g2_mask)
     else:
         if shared_order and not d.is_acyclic():
             raise ValueError(

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, end-to-end flows."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import diffgraph
 from diffgraph import Dataset
 from diffgraph.cli import main
 from helpers import DG_1H, DG_1M
@@ -233,8 +235,12 @@ def test_figures_matches_golden_bytes(capsys):
 
 
 def test_installed_script_runs():
+    # the child imports the package this test imported, also when pytest
+    # put it on sys.path without PYTHONPATH
+    home = str(pathlib.Path(diffgraph.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "diffgraph.cli", "figures"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN.read_text()

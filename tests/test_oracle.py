@@ -1,9 +1,11 @@
 """Brute-force enumeration oracle and the graphical admissibility criteria."""
 
 import itertools
+import random
 
 import pytest
 
+from diffgraph import oracle
 from diffgraph import (
     ADJUSTMENT_IDENTIFIABLE,
     NOT_IDENTIFIABLE,
@@ -286,3 +288,102 @@ def test_not_identifiable_as_dict_includes_witness_edge_lists():
 
     ok = oracle_total(DG_1H, "X", "Y", shared_order=True).as_dict()
     assert "witness" not in ok
+
+
+def test_all_dag_masks_lists_every_dag_once_in_ascending_order():
+    # labeled DAGs on n vertices: OEIS A003024
+    for n, count in zip(range(1, 6), (1, 3, 25, 543, 29_281)):
+        masks = oracle._all_dag_masks(n).tolist()
+        assert len(masks) == count
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+        names = [f"V{i}" for i in range(n)]
+        for mask in masks:
+            edges = [(names[i], names[j])
+                     for i, j in oracle._edges_of(n, mask)]
+            assert DifferenceGraph(vertices=names, edges=edges).is_acyclic()
+
+
+def _family_as_sets(names, family):
+    n = len(names)
+    return {frozenset(names[v] for v in range(n) if w >> v & 1)
+            for w in range(1 << n) if family >> w & 1}
+
+
+def _dag_mask(g):
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return oracle._mask_of(len(g.vertices),
+                           [(index[t], index[h]) for t, h in g.edges])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_admissible_families_match_the_graph_criteria(n):
+    """The oracle's bitmask families equal the sets the public criteria,
+    which d-separate on CausalDag objects, accept."""
+    names = ("A", "B", "C", "D")[:n]
+    for g in all_dags(names):
+        mask = _dag_mask(g)
+        for x, y in itertools.permutations(range(n), 2):
+            for criterion, accepts in (("back-door", back_door_admissible),
+                                       ("single-door",
+                                        single_door_admissible)):
+                family = oracle._admissible_w_bits(n, mask, x, y, criterion)
+                assert _family_as_sets(names, family) == _admissible_family(
+                    g, names[x], names[y], accepts), (g, x, y, criterion)
+
+
+def test_admissible_families_match_networkx_d_separation():
+    nx = pytest.importorskip("networkx")
+    names = ("A", "B", "C", "D")
+    for g in all_dags(names):
+        mask = _dag_mask(g)
+        for (xi, yi), criterion in itertools.product(
+                itertools.permutations(range(4), 2),
+                ("back-door", "single-door")):
+            x, y = names[xi], names[yi]
+            if criterion == "back-door":
+                pivot, cut = x, [e for e in g.edges if e[0] != x]
+            else:
+                pivot, cut = y, g.edges - {(x, y)}
+            h = nx.DiGraph(cut)
+            h.add_nodes_from(names)
+            forbidden = g.descendants(pivot) - {pivot}
+            rest = [v for v in names if v not in (x, y)]
+            expected = {
+                frozenset(w)
+                for r in range(len(rest) + 1)
+                for w in itertools.combinations(rest, r)
+                if not forbidden & set(w)
+                and nx.is_d_separator(h, {x}, {y}, set(w))}
+            family = oracle._admissible_w_bits(4, mask, xi, yi, criterion)
+            assert _family_as_sets(names, family) == expected, (g, x, y)
+
+
+def test_oracle_memos_stay_bounded():
+    memos = [f for f in vars(oracle).values() if hasattr(f, "cache_info")]
+    for memo in memos:
+        memo.cache_clear()
+    names = ("A", "B", "C", "D")
+    pairs = list(itertools.permutations(names, 2))
+    rng = random.Random(5)
+    seen = set()
+    while len(seen) < oracle.COMPATIBLE_MEMO_SIZE + 8:
+        edges = frozenset(rng.sample(pairs, rng.randint(1, 6)))
+        if edges in seen:
+            continue
+        seen.add(edges)
+        d = DifferenceGraph(vertices=names, edges=edges)
+        oracle_total(d, "A", "D")
+        oracle_direct(d, "A", "D")
+    # every one of the 29,281 DAGs is compatible with the empty 5-vertex
+    # difference graph, so two queries overflow the per-mask memos
+    empty = DifferenceGraph(vertices=["A", "B", "C", "D", "E"])
+    oracle_total(empty, "A", "B")
+    oracle_direct(empty, "A", "B")
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+    assert oracle._admissible_w_bits.cache_info().currsize \
+        == oracle.MASK_MEMO_SIZE
+    assert oracle._compatible_masks.cache_info().currsize \
+        == oracle.COMPATIBLE_MEMO_SIZE

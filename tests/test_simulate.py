@@ -72,6 +72,16 @@ def test_sampled_pairs_round_trip_and_respect_the_regime(gid):
             assert shares_topological_order(pair.scm1.dag, pair.scm2.dag)
 
 
+def test_sampled_structure_is_pinned_for_a_seed():
+    # both models keep the D-edges W1->X and W2->Y, so the partner is one
+    # of several; a change to how either DAG is drawn shows here
+    pair = sample_compatible_pair(DG_2K, shared_order=False, seed=4)
+    assert sorted(pair.scm1.dag.edges) == [
+        ("W1", "X"), ("W1", "Y"), ("W2", "X"), ("W2", "Y")]
+    assert sorted(pair.scm2.dag.edges) == [
+        ("W1", "X"), ("W1", "Y"), ("W2", "Y"), ("X", "W2"), ("X", "Y")]
+
+
 def test_sampling_is_deterministic_in_the_seed():
     a = sample_compatible_pair(DG_1H, shared_order=True, seed=42)
     b = sample_compatible_pair(DG_1H, shared_order=True, seed=42)
