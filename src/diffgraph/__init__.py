@@ -21,6 +21,7 @@ from .estimate import (
     SingularDesignError,
     adjustment_total,
     causal_change,
+    estimate_effect,
     format_change_report,
     format_interventional_table,
     marginal_table,
@@ -35,8 +36,10 @@ from .graphs import (
 )
 from .identify import (
     ADJUSTMENT_IDENTIFIABLE,
+    DIRECT,
     NOT_IDENTIFIABLE,
     NULL_EFFECT,
+    TOTAL,
     EffectQuery,
     IdentificationVerdict,
     identify_direct,
@@ -74,6 +77,7 @@ __all__ = [
     "ChangeTable",
     "Dataset",
     "DifferenceGraph",
+    "DIRECT",
     "DISCRETE",
     "EffectQuery",
     "GALLERY",
@@ -87,11 +91,13 @@ __all__ = [
     "PositivityError",
     "ScmPair",
     "SingularDesignError",
+    "TOTAL",
     "VERTEX_CAP",
     "adjustment_total",
     "back_door_admissible",
     "causal_change",
     "enumerate_compatible_dags",
+    "estimate_effect",
     "figure_table",
     "format_change_report",
     "format_interventional_table",

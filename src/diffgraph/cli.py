@@ -16,19 +16,19 @@ from .estimate import (
     CONTINUOUS,
     DISCRETE,
     Dataset,
-    adjustment_total,
     causal_change,
+    estimate_effect,
     format_change_report,
     format_interventional_table,
-    marginal_table,
-    partial_regression_coefficient,
 )
 from .figures import figure_table
 from .graphs import DifferenceGraph
 from .identify import (
     ADJUSTMENT_IDENTIFIABLE,
+    DIRECT,
     NOT_IDENTIFIABLE,
     NULL_EFFECT,
+    TOTAL,
     EffectQuery,
     identify_direct,
     identify_total,
@@ -39,6 +39,16 @@ from .simulate import sample_compatible_pair, sample_dataset
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_IDENTIFIABLE = 2
+
+# The data kind each effect is estimated from, the kind flag that
+# contradicts it, and why.
+_DATA_KIND = {
+    TOTAL: (DISCRETE, "continuous",
+            "the adjustment formula estimates discrete data"),
+    DIRECT: (CONTINUOUS, "discrete",
+             "the direct effect is estimated by regression on continuous "
+             "data"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,8 +89,9 @@ def _emit(args, doc, text):
         print(text)
 
 
-def _verdict_text(effect, x, y, verdict):
-    head = f"{effect} effect of {x} on {y}: "
+def _verdict_text(args, verdict):
+    head = (f"{verdict.effect} effect of {args.exposure} on "
+            f"{args.outcome}: ")
     if verdict.kind == NULL_EFFECT:
         return head + (f"null effect (condition {verdict.condition}); "
                        f"{verdict.formula}")
@@ -95,20 +106,22 @@ def _identify(args, effect):
     d = _load_graph(args.graph)
     q = EffectQuery(d, args.exposure, args.outcome,
                     shared_order_assumed=args.shared_order)
-    return identify_total(q) if effect == "total" else identify_direct(q)
+    return identify_total(q) if effect == TOTAL else identify_direct(q)
 
 
-def _cmd_check(args, effect):
-    verdict = _identify(args, effect)
-    _emit(args, verdict.as_dict(),
-          _verdict_text(effect, args.exposure, args.outcome, verdict))
+def _emit_verdict(args, verdict):
+    _emit(args, verdict.as_dict(), _verdict_text(args, verdict))
     return (EXIT_NOT_IDENTIFIABLE if verdict.kind == NOT_IDENTIFIABLE
             else EXIT_OK)
 
 
+def _cmd_check(args, effect):
+    return _emit_verdict(args, _identify(args, effect))
+
+
 def _cmd_oracle(args, effect):
     d = _load_graph(args.graph)
-    fn = oracle_total if effect == "total" else oracle_direct
+    fn = oracle_total if effect == TOTAL else oracle_direct
     verdict = fn(d, args.exposure, args.outcome,
                  shared_order=args.shared_order)
     mode = "shared-order" if args.shared_order else "general"
@@ -132,66 +145,39 @@ def _cmd_oracle(args, effect):
             else EXIT_OK)
 
 
-def _cmd_estimate_total(args):
-    verdict = _identify(args, "total")
+def _cmd_estimate(args, effect):
+    x, y = args.exposure, args.outcome
+    verdict = _identify(args, effect)
     if verdict.kind == NOT_IDENTIFIABLE:
-        _emit(args, verdict.as_dict(),
-              _verdict_text("total", args.exposure, args.outcome, verdict))
-        return EXIT_NOT_IDENTIFIABLE
-    if args.continuous:
-        raise ValueError("the adjustment formula estimates discrete data; "
-                         "drop --continuous")
-    data = Dataset.from_csv(args.data1, DISCRETE)
-    if verdict.kind == NULL_EFFECT:
-        table = marginal_table(data, args.exposure, args.outcome)
+        return _emit_verdict(args, verdict)
+    kind, wrong, why = _DATA_KIND[effect]
+    if getattr(args, wrong):
+        raise ValueError(f"{why}; drop --{wrong}")
+    data = Dataset.from_csv(args.data1, kind)
+    estimate = estimate_effect(verdict, data, x, y, laplace=args.laplace)
+    if effect == TOTAL:
+        shown = format_interventional_table(estimate, x, y)
+        doc = estimate.as_dict()
     else:
-        table = adjustment_total(data, args.exposure, args.outcome,
-                                 verdict.adjustment_set, laplace=args.laplace)
-    text = (_verdict_text("total", args.exposure, args.outcome, verdict)
-            + "\n" + format_interventional_table(table, args.exposure,
-                                                 args.outcome))
-    _emit(args, {"verdict": verdict.as_dict(), "estimate": table.as_dict()},
-          text)
-    return EXIT_OK
-
-
-def _cmd_estimate_direct(args):
-    verdict = _identify(args, "direct")
-    if verdict.kind == NOT_IDENTIFIABLE:
-        _emit(args, verdict.as_dict(),
-              _verdict_text("direct", args.exposure, args.outcome, verdict))
-        return EXIT_NOT_IDENTIFIABLE
-    if args.discrete:
-        raise ValueError("the direct effect is estimated by regression on "
-                         "continuous data; drop --discrete")
-    if verdict.kind == NULL_EFFECT:
-        estimate = 0.0
-    else:
-        data = Dataset.from_csv(args.data1, CONTINUOUS)
-        estimate = partial_regression_coefficient(
-            data, args.exposure, args.outcome, verdict.adjustment_set)
-    text = (_verdict_text("direct", args.exposure, args.outcome, verdict)
-            + f"\nalpha({args.exposure}->{args.outcome}) estimate: "
-            + f"{estimate:.6f}")
-    _emit(args, {"verdict": verdict.as_dict(), "estimate": estimate}, text)
+        shown = f"alpha({x}->{y}) estimate: {estimate:.6f}"
+        doc = estimate
+    _emit(args, {"verdict": verdict.as_dict(), "estimate": doc},
+          _verdict_text(args, verdict) + "\n" + shown)
     return EXIT_OK
 
 
 def _cmd_change(args):
-    effect = "total" if args.discrete else "direct"
+    effect = TOTAL if args.discrete else DIRECT
     verdict = _identify(args, effect)
     if verdict.kind == NOT_IDENTIFIABLE:
-        _emit(args, verdict.as_dict(),
-              _verdict_text(effect, args.exposure, args.outcome, verdict))
-        return EXIT_NOT_IDENTIFIABLE
-    kind = DISCRETE if args.discrete else CONTINUOUS
+        return _emit_verdict(args, verdict)
+    kind = _DATA_KIND[effect][0]
     data1 = Dataset.from_csv(args.data1, kind)
     data2 = Dataset.from_csv(args.data2, kind)
     report = causal_change(verdict, data1, data2, args.exposure,
                            args.outcome, laplace=args.laplace)
-    text = (_verdict_text(effect, args.exposure, args.outcome, verdict)
-            + "\n" + format_change_report(report, args.exposure,
-                                          args.outcome))
+    text = (_verdict_text(args, verdict) + "\n"
+            + format_change_report(report, args.exposure, args.outcome))
     _emit(args, {"verdict": verdict.as_dict(), "report": report.as_dict()},
           text)
     return EXIT_OK
@@ -241,36 +227,32 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    for name, effect in (("check-total", "total"), ("check-direct", "direct")):
+    for name, effect in (("check-total", TOTAL), ("check-direct", DIRECT)):
         p = sub.add_parser(name, help=f"closed-form {effect}-effect verdict")
         _graph_flags(p)
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=lambda a, e=effect: _cmd_check(a, e))
 
-    for name, effect in (("oracle-total", "total"),
-                         ("oracle-direct", "direct")):
+    for name, effect in (("oracle-total", TOTAL), ("oracle-direct", DIRECT)):
         p = sub.add_parser(name, help=f"brute-force {effect}-effect verdict "
                                       "(5-vertex cap)")
         _graph_flags(p)
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=lambda a, e=effect: _cmd_oracle(a, e))
 
-    p = sub.add_parser("estimate-total",
-                       help="estimate P(y|do(x)) from one dataset")
-    _graph_flags(p)
-    p.add_argument("--data1", required=True, metavar="CSV")
-    _kind_flags(p, required=False)
-    p.add_argument("--laplace", type=float, metavar="ALPHA")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_estimate_total)
-
-    p = sub.add_parser("estimate-direct",
-                       help="estimate the path coefficient from one dataset")
-    _graph_flags(p)
-    p.add_argument("--data1", required=True, metavar="CSV")
-    _kind_flags(p, required=False)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_estimate_direct)
+    for name, effect, summary in (
+            ("estimate-total", TOTAL, "estimate P(y|do(x)) from one dataset"),
+            ("estimate-direct", DIRECT,
+             "estimate the path coefficient from one dataset")):
+        p = sub.add_parser(name, help=summary)
+        _graph_flags(p)
+        p.add_argument("--data1", required=True, metavar="CSV")
+        _kind_flags(p, required=False)
+        if effect == TOTAL:
+            p.add_argument("--laplace", type=float, metavar="ALPHA")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=lambda a, e=effect: _cmd_estimate(a, e),
+                       laplace=None)
 
     p = sub.add_parser("change",
                        help="estimate the causal change between two "

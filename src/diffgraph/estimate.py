@@ -4,10 +4,11 @@ Three estimators live here.  The discrete adjustment formula realizes
 P(y|do(x)) as a plug-in sum of empirical frequencies over the adjustment
 strata.  The partial regression coefficient realizes the linear direct
 effect as the coefficient of the exposure in an ordinary least-squares fit,
-computed through an SVD rather than normal equations.  `causal_change`
-applies a verdict's formula to two datasets independently (the same
-adjustment set works in both populations, which is what the identification
-step certified) and reports the difference.
+computed through an SVD rather than normal equations.  `estimate_effect`
+applies a verdict to one dataset, choosing the estimator by the verdict's
+effect and kind.  `causal_change` applies it to two datasets independently
+(the same adjustment set works in both populations, which is what the
+identification step certified) and reports the difference.
 
 Everything is a deterministic function of its inputs; there is no internal
 randomness anywhere.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import _check_label
-from .identify import NOT_IDENTIFIABLE, NULL_EFFECT
+from .identify import DIRECT, NOT_IDENTIFIABLE, NULL_EFFECT, TOTAL
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -192,9 +193,16 @@ class CausalChangeReport:
                 "adjustment_set": list(self.adjustment_set)}
 
 
-def _discrete_setup(data, x, y, w):
-    if data.kind != DISCRETE:
-        raise ValueError("the adjustment formula needs discrete data")
+# The data kind each estimator needs, and the error naming it.
+_NEEDS = {DISCRETE: "the adjustment formula needs discrete data",
+          CONTINUOUS: "partial regression needs continuous data"}
+
+
+def _checked_inputs(data, kind, x, y, w):
+    """Check that ``data`` is of ``kind`` and holds x, y and the members of
+    ``w``, distinct from each other; returns ``w`` as a tuple."""
+    if data.kind != kind:
+        raise ValueError(_NEEDS[kind])
     w = tuple(w)
     if x in w or y in w:
         raise ValueError("exposure and outcome must not be in the "
@@ -222,7 +230,7 @@ def adjustment_total(data, x, y, w, laplace=None,
     what this dataset happens to contain (used when aligning two
     populations); values default to the observed cardinalities.
     """
-    w = _discrete_setup(data, x, y, w)
+    w = _checked_inputs(data, DISCRETE, x, y, w)
     if laplace is not None and laplace <= 0:
         raise ValueError("laplace smoothing must be positive")
     n = len(data)
@@ -271,7 +279,7 @@ def adjustment_total(data, x, y, w, laplace=None,
 def marginal_table(data, x, y, exposure_levels=None, outcome_levels=None):
     """The null-effect table: P(y|do(x)) = P-hat(y), identical for every
     exposure value and computed from the same counts as P-hat(y)."""
-    _discrete_setup(data, x, y, ())
+    _checked_inputs(data, DISCRETE, x, y, ())
     kx = exposure_levels or data.cardinality(x)
     ky = outcome_levels or data.cardinality(y)
     ycol = data.codes(y)
@@ -288,15 +296,7 @@ def partial_regression_coefficient(data, x, y, w):
     when the smallest singular value falls below RANK_TOLERANCE relative to
     the largest (collinear covariates).
     """
-    if data.kind != CONTINUOUS:
-        raise ValueError("partial regression needs continuous data")
-    w = tuple(w)
-    if x in w or y in w or x == y:
-        raise ValueError("exposure, outcome and adjustment set must be "
-                         "disjoint")
-    for v in (x, y) + w:
-        if v not in data.variable_names:
-            raise KeyError(f"unknown variable {v!r}")
+    w = _checked_inputs(data, CONTINUOUS, x, y, w)
     n = len(data)
     if n <= len(w) + 2:
         raise ValueError(f"need more than {len(w) + 2} rows, got {n}")
@@ -311,43 +311,57 @@ def partial_regression_coefficient(data, x, y, w):
     return float(beta[1])
 
 
-def causal_change(verdict, data1, data2, x, y, laplace=None):
-    """Apply an identifying verdict to two datasets and report the change.
+def estimate_effect(verdict, data, x, y, laplace=None,
+                    exposure_levels=None, outcome_levels=None):
+    """Apply an identifying verdict to one dataset.
 
-    The verdict must not be NotIdentifiable.  Its formula decides the
-    quantity: a total effect is estimated by the adjustment formula (or the
-    outcome marginal when the effect is null) on each dataset over a common
-    value grid, a direct effect by the partial regression coefficient.  The
-    change is population 1 minus population 2, elementwise for tables.
+    A total effect is a table of P(y|do(x)) from discrete data: the outcome
+    marginal when the effect is null (:func:`marginal_table`), otherwise the
+    adjustment formula (:func:`adjustment_total`, which takes ``laplace``
+    and the level grids).  A direct effect is a float from continuous data:
+    0.0 when null, otherwise the partial regression coefficient.  The data
+    kind and the columns are checked for every verdict; a NotIdentifiable
+    verdict raises ValueError.
     """
     if verdict.kind == NOT_IDENTIFIABLE:
         raise ValueError("verdict is NotIdentifiable; nothing to estimate")
+    w = verdict.adjustment_set or ()
+    if verdict.effect == DIRECT:
+        if verdict.kind == NULL_EFFECT:
+            _checked_inputs(data, CONTINUOUS, x, y, ())
+            return 0.0
+        return partial_regression_coefficient(data, x, y, w)
+    if verdict.kind == NULL_EFFECT:
+        return marginal_table(data, x, y, exposure_levels, outcome_levels)
+    return adjustment_total(data, x, y, w, laplace,
+                            exposure_levels, outcome_levels)
+
+
+def causal_change(verdict, data1, data2, x, y, laplace=None):
+    """Apply an identifying verdict to two datasets and report the change.
+
+    Each population is estimated by :func:`estimate_effect`, total effects
+    over a value grid common to both datasets.  The change is population 1
+    minus population 2, elementwise for tables.
+    """
     if data1.variable_names != data2.variable_names:
         raise ValueError("datasets have different variables")
     if data1.kind != data2.kind:
         raise ValueError("datasets have different kinds")
-    w = tuple(verdict.adjustment_set or ())
-    quantity = "direct" if verdict.formula.startswith("alpha(") else "total"
-
-    if quantity == "direct":
-        if verdict.kind == NULL_EFFECT:
-            v1 = v2 = 0.0
-        else:
-            v1 = partial_regression_coefficient(data1, x, y, w)
-            v2 = partial_regression_coefficient(data2, x, y, w)
-        return CausalChangeReport("direct", v1, v2, v1 - v2, w)
-
-    kx = max(data1.cardinality(x), data2.cardinality(x))
-    ky = max(data1.cardinality(y), data2.cardinality(y))
-    if verdict.kind == NULL_EFFECT:
-        t1 = marginal_table(data1, x, y, kx, ky)
-        t2 = marginal_table(data2, x, y, kx, ky)
+    pair = (data1, data2)
+    grid = {}
+    if verdict.effect == TOTAL:
+        grid = {"exposure_levels": max(d.cardinality(x) for d in pair),
+                "outcome_levels": max(d.cardinality(y) for d in pair)}
+    v1, v2 = (estimate_effect(verdict, d, x, y, laplace, **grid)
+              for d in pair)
+    if verdict.effect == DIRECT:
+        change = v1 - v2
     else:
-        t1 = adjustment_total(data1, x, y, w, laplace, kx, ky)
-        t2 = adjustment_total(data2, x, y, w, laplace, kx, ky)
-    change = ChangeTable(t1.exposure_values, t1.outcome_values,
-                         t1.probabilities - t2.probabilities)
-    return CausalChangeReport("total", t1, t2, change, w)
+        change = ChangeTable(v1.exposure_values, v1.outcome_values,
+                             v1.probabilities - v2.probabilities)
+    return CausalChangeReport(verdict.effect, v1, v2, change,
+                              tuple(verdict.adjustment_set or ()))
 
 
 def format_interventional_table(table, x, y):

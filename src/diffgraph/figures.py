@@ -13,6 +13,7 @@ fixtures for the acceptance suite and can be printed as a table with the
 
 from dataclasses import dataclass
 
+from .estimate import _align
 from .graphs import DifferenceGraph
 from .identify import (
     ADJUSTMENT_IDENTIFIABLE,
@@ -85,7 +86,4 @@ def figure_table():
             _verdict_cell(identify_total(q)),
             _verdict_cell(identify_direct(q)),
         ])
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in rows]
-    return "\n".join(lines) + "\n"
+    return _align(rows) + "\n"

@@ -16,6 +16,7 @@ All set-valued results are reported in vertex order, which is the order of
 first appearance (explicit declarations first, then edge endpoints).
 """
 
+import heapq
 from collections import deque
 
 
@@ -30,7 +31,8 @@ class ParseError(ValueError):
 def _check_label(name):
     if not name:
         raise ValueError("variable names must be non-empty")
-    if "," in name or any(ch.isspace() for ch in name):
+    # split() drops whitespace, so it changes a name that has any
+    if "," in name or name.split() != [name]:
         raise ValueError(
             f"variable name {name!r} contains whitespace or a comma")
 
@@ -118,6 +120,21 @@ class _Digraph:
         self._require(v)
         return tuple(self._children[v])
 
+    def _closure(self, sources, links):
+        """Every vertex reachable from ``sources`` by following ``links``
+        (the parent or the child lists), the sources included."""
+        seen = set(sources)
+        frontier = list(seen)
+        while frontier:
+            step = []
+            for u in frontier:
+                for w in links[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        step.append(w)
+            frontier = step
+        return seen
+
     def ancestors(self, v):
         """Reflexive ancestor set of ``v``.
 
@@ -131,42 +148,33 @@ class _Digraph:
         ['W1', 'X']
         """
         self._require(v)
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for p in self._parents[u]:
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        return seen
+        return self._closure((v,), self._parents)
 
     def descendants(self, v):
         """Reflexive descendant set of ``v`` (dual of :meth:`ancestors`)."""
         self._require(v)
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
+        return self._closure((v,), self._children)
+
+    def _kahn(self):
+        """Kahn's algorithm, always removing the ready vertex of lowest
+        index.  Returns the removed vertices in removal order: every vertex
+        iff the graph is acyclic."""
+        index, vertices = self._index, self._vertices
+        indegree = {v: len(self._parents[v]) for v in vertices}
+        ready = [i for i, v in enumerate(vertices) if not indegree[v]]
+        order = []
+        while ready:
+            u = vertices[heapq.heappop(ready)]
+            order.append(u)
             for c in self._children[u]:
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        return seen
+                indegree[c] -= 1
+                if not indegree[c]:
+                    heapq.heappush(ready, index[c])
+        return order
 
     def is_acyclic(self):
         """True iff a topological order exists (Kahn's algorithm)."""
-        indegree = {v: len(self._parents[v]) for v in self._vertices}
-        queue = deque(v for v in self._vertices if indegree[v] == 0)
-        visited = 0
-        while queue:
-            u = queue.popleft()
-            visited += 1
-            for c in self._children[u]:
-                indegree[c] -= 1
-                if indegree[c] == 0:
-                    queue.append(c)
-        return visited == len(self._vertices)
+        return len(self._kahn()) == len(self._vertices)
 
     def sort_vertices(self, names):
         """Sort an iterable of vertex names into this graph's vertex order."""
@@ -210,36 +218,29 @@ def _parse_edge_list_text(text):
         if not line:
             continue
         if "->" in line:
-            parts = line.split("->")
-            if len(parts) != 2:
+            names = line.split("->")
+            if len(names) != 2:
                 raise ParseError(lineno, "expected exactly one '->' per edge")
-            tail, head = parts[0].strip(), parts[1].strip()
-            for name in (tail, head):
-                try:
-                    _check_label(name)
-                except ValueError as exc:
-                    raise ParseError(lineno, str(exc)) from None
-                if name not in seen:
-                    seen.add(name)
-                    vertices.append(name)
-            if tail == head:
-                raise ParseError(lineno, f"self-loop on {tail!r}")
-            edges.append((tail, head))
+            names = (names[0].strip(), names[1].strip())
         else:
             tokens = line.split()
-            if len(tokens) == 2 and tokens[0] == "node":
-                name = tokens[1]
-                try:
-                    _check_label(name)
-                except ValueError as exc:
-                    raise ParseError(lineno, str(exc)) from None
-                if name not in seen:
-                    seen.add(name)
-                    vertices.append(name)
-            else:
+            if len(tokens) != 2 or tokens[0] != "node":
                 raise ParseError(
                     lineno, f"cannot parse {line!r} (expected 'node <name>' "
                     "or '<tail> -> <head>')")
+            names = tokens[1:]
+        for name in names:
+            try:
+                _check_label(name)
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
+            if name not in seen:
+                seen.add(name)
+                vertices.append(name)
+        if len(names) == 2:
+            if names[0] == names[1]:
+                raise ParseError(lineno, f"self-loop on {names[0]!r}")
+            edges.append(names)
     return vertices, edges
 
 
@@ -266,37 +267,15 @@ class CausalDag(_Digraph):
     def __init__(self, vertices=(), edges=()):
         super().__init__(vertices=vertices, edges=edges)
         if not self.is_acyclic():
-            on_cycle = self._cyclic_part()
+            parents = self._parents
+            on_cycle = [v for v in self._vertices
+                        if v in self._closure(parents[v], parents)]
             raise ValueError(
                 f"graph is not acyclic (cycle through {on_cycle})")
 
-    def _cyclic_part(self):
-        indegree = {v: len(self._parents[v]) for v in self._vertices}
-        queue = deque(v for v in self._vertices if indegree[v] == 0)
-        removed = set()
-        while queue:
-            u = queue.popleft()
-            removed.add(u)
-            for c in self._children[u]:
-                indegree[c] -= 1
-                if indegree[c] == 0:
-                    queue.append(c)
-        return [v for v in self._vertices if v not in removed]
-
     def topological_order(self):
         """A topological order, deterministic (ties broken by vertex order)."""
-        indegree = {v: len(self._parents[v]) for v in self._vertices}
-        ready = [v for v in self._vertices if indegree[v] == 0]
-        out = []
-        while ready:
-            ready.sort(key=self._index.__getitem__)
-            u = ready.pop(0)
-            out.append(u)
-            for c in self._children[u]:
-                indegree[c] -= 1
-                if indegree[c] == 0:
-                    ready.append(c)
-        return tuple(out)
+        return tuple(self._kahn())
 
     def d_separated(self, x, y, w=()):
         """Decide whether ``w`` d-separates ``x`` from ``y``.
@@ -331,9 +310,7 @@ class CausalDag(_Digraph):
         if x in w or y in w:
             raise ValueError("x and y must not be members of w")
 
-        in_anc_w = set()
-        for u in w:
-            in_anc_w |= self.ancestors(u)
+        in_anc_w = self._closure(w, self._parents)
 
         # Travel states: (vertex, direction). UP means the trail arrived at
         # the vertex from one of its children, DOWN from one of its parents.
@@ -360,6 +337,16 @@ class CausalDag(_Digraph):
                     for p in self._parents[v]:
                         frontier.append((p, UP))
         return True
+
+
+def check_shared_order(d, shared_order):
+    """Raise ValueError when ``shared_order`` is assumed for a cyclic
+    difference graph ``d``: no two causal models behind it share a
+    topological order."""
+    if shared_order and not d.is_acyclic():
+        raise ValueError(
+            "difference graph is cyclic, which contradicts the "
+            "shared-topological-order assumption")
 
 
 def shares_topological_order(g1, g2):

@@ -6,6 +6,29 @@ graph), conditions A.1/A.2 decide the total effect and C.1/C.2 the direct
 effect.  Without that assumption the difference graph may be cyclic and
 conditions B.1/B.2 (total) and D.1/D.2 (direct) apply instead.
 
+One decision body serves all eight.  It works around a pivot, X for the
+total effect and Y for the direct effect, and takes the condition letter
+from the regime and the effect; clause 1 of a letter is the null effect,
+clause 2 the adjustment:
+
+    ==============  ===============  ================
+    regime          total (pivot X)  direct (pivot Y)
+    ==============  ===============  ================
+    shared order    A                C
+    general         B                D
+    ==============  ===============  ================
+
+* Shared order: null iff Y is an ancestor of X; adjust iff X is an
+  ancestor of Y and every other vertex is comparable to the pivot, with
+  W = ancestors(pivot) minus {X, Y}.
+* General: null iff not reach(X, Y) (total) or Y->X is D-only (direct);
+  adjust iff X->Y is in D and every vertex other than the pivot is a
+  D-only child of it or a D-only parent it does not reach, with
+  W = D-parents of the pivot minus X.
+
+The per-regime entry points fix the regime; identify_total and
+identify_direct take it from the query.  Spelled out per condition:
+
 The shared-order conditions are statements about reflexive ancestor sets
 in the difference graph D:
 
@@ -56,19 +79,23 @@ graph of up to 4 vertices; at 5 vertices the search over-reports reach
 on a small share of pairs, and those verdicts come out NotIdentifiable
 where the oracle decides them.
 
-Verdicts carry the fired condition so output is self-explaining, and they
-serialize to a JSON document with fixed keys {kind, condition,
-adjustment_set, formula}.
+Verdicts carry the fired condition so output is self-explaining, and the
+effect they decide (TOTAL or DIRECT) so estimation can pick its
+estimator.  They serialize to a JSON document with fixed keys {kind,
+condition, adjustment_set, formula}.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import DifferenceGraph
+from .graphs import DifferenceGraph, check_shared_order
 
 NULL_EFFECT = "NullEffect"
 ADJUSTMENT_IDENTIFIABLE = "AdjustmentIdentifiable"
 NOT_IDENTIFIABLE = "NotIdentifiable"
+
+TOTAL = "total"
+DIRECT = "direct"
 
 
 @dataclass(frozen=True)
@@ -96,10 +123,7 @@ class EffectQuery:
                 raise ValueError(f"unknown vertex {v!r}")
         if self.exposure == self.outcome:
             raise ValueError("exposure and outcome must be distinct")
-        if self.shared_order_assumed and not self.graph.is_acyclic():
-            raise ValueError(
-                "difference graph is cyclic, which contradicts the "
-                "shared-topological-order assumption")
+        check_shared_order(self.graph, self.shared_order_assumed)
 
 
 @dataclass(frozen=True)
@@ -111,7 +135,8 @@ class IdentificationVerdict:
     fired (A.1 through D.2), or "none" for NotIdentifiable and for verdicts
     produced by brute-force search.  ``witness``, attached only by the
     oracle on NotIdentifiable, is a pair of compatible DAGs that no single
-    adjustment set serves.
+    adjustment set serves.  ``effect`` is TOTAL or DIRECT, the effect the
+    verdict is about; it is not part of :meth:`as_dict`.
     """
 
     kind: str
@@ -119,6 +144,7 @@ class IdentificationVerdict:
     adjustment_set: tuple = None
     formula: str = ""
     witness: tuple = field(default=None, compare=False)
+    effect: str = TOTAL
 
     def as_dict(self):
         """JSON-ready dict with the fixed keys; witness only when present."""
@@ -131,60 +157,31 @@ class IdentificationVerdict:
         return doc
 
 
-def total_null_formula(x, y):
-    return f"P({y}|do({x})) = P({y})"
+def _verdict(effect, kind, x, y, condition="none", w=None):
+    """The verdict of ``kind`` on the ``effect`` of x on y, with its
+    formula; ``w`` is the adjustment set of an AdjustmentIdentifiable one."""
+    if kind == NOT_IDENTIFIABLE:
+        formula = ""
+    elif effect == DIRECT:
+        formula = (f"alpha({x}->{y}) = 0" if kind == NULL_EFFECT else
+                   f"alpha({x}->{y}) = coefficient of {x} in the regression "
+                   f"of {y} on {{{', '.join((x,) + w)}}}")
+    elif kind == NULL_EFFECT:
+        formula = f"P({y}|do({x})) = P({y})"
+    elif not w:
+        formula = f"P({y}|do({x})) = P({y}|{x})"
+    else:
+        ws = ",".join(w)
+        formula = f"P({y}|do({x})) = sum_{{{ws}}} P({y}|{x},{ws}) P({ws})"
+    return IdentificationVerdict(kind=kind, effect=effect, condition=condition,
+                                 adjustment_set=w, formula=formula)
 
 
-def total_adjustment_formula(x, y, w):
-    if not w:
-        return f"P({y}|do({x})) = P({y}|{x})"
-    ws = ",".join(w)
-    return f"P({y}|do({x})) = sum_{{{ws}}} P({y}|{x},{ws}) P({ws})"
-
-
-def direct_null_formula(x, y):
-    return f"alpha({x}->{y}) = 0"
-
-
-def direct_adjustment_formula(x, y, w):
-    covariates = ", ".join((x,) + tuple(w))
-    return (f"alpha({x}->{y}) = coefficient of {x} in the regression "
-            f"of {y} on {{{covariates}}}")
-
-
-def _comparable_to(d, v, exempt):
-    """True iff every vertex outside ``exempt`` is an ancestor or a
-    descendant of ``v`` in ``d``."""
-    reachable = d.ancestors(v) | d.descendants(v)
-    return all(w in reachable for w in d.vertices if w not in exempt)
-
-
-def _total_conditions(q):
-    d, x, y = q.graph, q.exposure, q.outcome
-    a1 = y in d.ancestors(x)
-    a2 = x in d.ancestors(y) and _comparable_to(d, x, {x, y})
-    return a1, a2
-
-
-def _direct_conditions(q):
-    d, x, y = q.graph, q.exposure, q.outcome
-    c1 = y in d.ancestors(x)
-    c2 = x in d.ancestors(y) and _comparable_to(d, y, {x, y})
-    return c1, c2
-
-
-def _total_adjustment_verdict(q, condition, w):
-    x, y = q.exposure, q.outcome
-    return IdentificationVerdict(
-        kind=ADJUSTMENT_IDENTIFIABLE, condition=condition,
-        adjustment_set=w, formula=total_adjustment_formula(x, y, w))
-
-
-def _direct_adjustment_verdict(q, condition, w):
-    x, y = q.exposure, q.outcome
-    return IdentificationVerdict(
-        kind=ADJUSTMENT_IDENTIFIABLE, condition=condition,
-        adjustment_set=w, formula=direct_adjustment_formula(x, y, w))
+def _comparable_to(d, v, anc, exempt):
+    """True iff every vertex outside ``exempt`` is in ``anc``, the
+    ancestors of ``v`` in ``d``, or a descendant of ``v``."""
+    near = anc | d.descendants(v)
+    return all(w in near for w in d.vertices if w not in exempt)
 
 
 def _d_only(d, u, v):
@@ -254,24 +251,50 @@ def _splits_around(d, pivot):
     return _unreachable(d, pivot, parents) == parents
 
 
+# The condition letter of each (shared order, effect) regime.
+_LETTER = {(True, TOTAL): "A", (False, TOTAL): "B",
+           (True, DIRECT): "C", (False, DIRECT): "D"}
+
+
+def _decide(q, effect, shared_order):
+    """The verdict of conditions A to D on ``effect``; the pivot is X for
+    the total effect and Y for the direct effect."""
+    d, x, y = q.graph, q.exposure, q.outcome
+    letter = _LETTER[shared_order, effect]
+    pivot = x if effect == TOTAL else y
+    if shared_order:
+        anc_x = d.ancestors(x)
+        null = y in anc_x
+        anc_y = set() if null else d.ancestors(y)
+        anc = anc_x if effect == TOTAL else anc_y
+        adjust = x in anc_y and _comparable_to(d, pivot, anc, {x, y})
+        members = anc - {x, y}
+    else:
+        null = (_unreachable(d, x, {y}) if effect == TOTAL
+                else _d_only(d, y, x))
+        adjust = (x, y) in d.edges and _splits_around(d, pivot)
+        members = set(d.parents(pivot)) - {x}
+    if null:
+        return _verdict(effect, NULL_EFFECT, x, y, letter + ".1")
+    if adjust:
+        return _verdict(effect, ADJUSTMENT_IDENTIFIABLE, x, y, letter + ".2",
+                        tuple(d.sort_vertices(members)))
+    return _verdict(effect, NOT_IDENTIFIABLE, x, y)
+
+
+def _require_shared_order(q):
+    if not q.shared_order_assumed:
+        raise ValueError("query must set shared_order_assumed")
+
+
 def identify_total_shared_order(q):
     """Total-effect verdict under the shared-topological-order assumption.
 
     NullEffect under A.1, AdjustmentIdentifiable with
     W^anc = ancestors(X) \\ {X} under A.2, otherwise NotIdentifiable.
     """
-    if not q.shared_order_assumed:
-        raise ValueError("query must set shared_order_assumed")
-    a1, a2 = _total_conditions(q)
-    if a1:
-        return IdentificationVerdict(
-            kind=NULL_EFFECT, condition="A.1",
-            formula=total_null_formula(q.exposure, q.outcome))
-    if a2:
-        d, x = q.graph, q.exposure
-        w = tuple(d.sort_vertices(d.ancestors(x) - {x}))
-        return _total_adjustment_verdict(q, "A.2", w)
-    return IdentificationVerdict(kind=NOT_IDENTIFIABLE)
+    _require_shared_order(q)
+    return _decide(q, TOTAL, True)
 
 
 def identify_total_general(q):
@@ -281,14 +304,7 @@ def identify_total_general(q):
     AdjustmentIdentifiable with W = D-parents of X under B.2, otherwise
     NotIdentifiable.  See the module docstring for the conditions.
     """
-    d, x, y = q.graph, q.exposure, q.outcome
-    if _unreachable(d, x, {y}):
-        return IdentificationVerdict(
-            kind=NULL_EFFECT, condition="B.1",
-            formula=total_null_formula(x, y))
-    if y in d.children(x) and _splits_around(d, x):
-        return _total_adjustment_verdict(q, "B.2", d.parents(x))
-    return IdentificationVerdict(kind=NOT_IDENTIFIABLE)
+    return _decide(q, TOTAL, False)
 
 
 def identify_direct_shared_order(q):
@@ -298,18 +314,8 @@ def identify_direct_shared_order(q):
     NullEffect (alpha = 0) under C.1, AdjustmentIdentifiable with
     W^anc = ancestors(Y) \\ {X, Y} under C.2, otherwise NotIdentifiable.
     """
-    if not q.shared_order_assumed:
-        raise ValueError("query must set shared_order_assumed")
-    c1, c2 = _direct_conditions(q)
-    if c1:
-        return IdentificationVerdict(
-            kind=NULL_EFFECT, condition="C.1",
-            formula=direct_null_formula(q.exposure, q.outcome))
-    if c2:
-        d, x, y = q.graph, q.exposure, q.outcome
-        w = tuple(d.sort_vertices(d.ancestors(y) - {x, y}))
-        return _direct_adjustment_verdict(q, "C.2", w)
-    return IdentificationVerdict(kind=NOT_IDENTIFIABLE)
+    _require_shared_order(q)
+    return _decide(q, DIRECT, True)
 
 
 def identify_direct_general(q):
@@ -319,26 +325,14 @@ def identify_direct_general(q):
     W = D-parents of Y other than X under D.2, otherwise NotIdentifiable.
     See the module docstring for the conditions.
     """
-    d, x, y = q.graph, q.exposure, q.outcome
-    if _d_only(d, y, x):
-        return IdentificationVerdict(
-            kind=NULL_EFFECT, condition="D.1",
-            formula=direct_null_formula(x, y))
-    if x in d.parents(y) and _splits_around(d, y):
-        w = tuple(v for v in d.parents(y) if v != x)
-        return _direct_adjustment_verdict(q, "D.2", w)
-    return IdentificationVerdict(kind=NOT_IDENTIFIABLE)
+    return _decide(q, DIRECT, False)
 
 
 def identify_total(q):
-    """Route a total-effect query to the checker matching its assumption."""
-    if q.shared_order_assumed:
-        return identify_total_shared_order(q)
-    return identify_total_general(q)
+    """Total-effect verdict under the query's own ordering assumption."""
+    return _decide(q, TOTAL, q.shared_order_assumed)
 
 
 def identify_direct(q):
-    """Route a direct-effect query to the checker matching its assumption."""
-    if q.shared_order_assumed:
-        return identify_direct_shared_order(q)
-    return identify_direct_general(q)
+    """Direct-effect verdict under the query's own ordering assumption."""
+    return _decide(q, DIRECT, q.shared_order_assumed)

@@ -46,16 +46,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import CausalDag
+from .graphs import CausalDag, check_shared_order
 from .identify import (
     ADJUSTMENT_IDENTIFIABLE,
+    DIRECT,
     NOT_IDENTIFIABLE,
     NULL_EFFECT,
+    TOTAL,
     IdentificationVerdict,
-    direct_adjustment_formula,
-    direct_null_formula,
-    total_adjustment_formula,
-    total_null_formula,
+    _verdict,
 )
 
 VERTEX_CAP = 5
@@ -274,10 +273,7 @@ def _checked_setup(d, shared_order):
         raise ValueError(
             f"brute-force enumeration is capped at {VERTEX_CAP} vertices, "
             f"got {n}")
-    if shared_order and not d.is_acyclic():
-        raise ValueError(
-            "difference graph is cyclic, so no pair of causal models can "
-            "share a topological order")
+    check_shared_order(d, shared_order)
     index = {v: i for i, v in enumerate(d.vertices)}
     d_mask = _mask_of(n, [(index[t], index[h]) for t, h in d.edges])
     return n, index, d_mask
@@ -319,6 +315,7 @@ def _oracle(d, x, y, shared_order, criterion):
     if x == y:
         raise ValueError("exposure and outcome must be distinct")
     xi, yi = index[x], index[y]
+    effect = TOTAL if criterion == "back-door" else DIRECT
     masks = _compatible_masks(n, d_mask, shared_order)
 
     if criterion == "back-door":
@@ -328,11 +325,7 @@ def _oracle(d, x, y, shared_order, criterion):
         edge_bit = _pair_bit(n)[(xi, yi)]
         never_effect = all(not m & edge_bit for m in masks)
     if never_effect:
-        if criterion == "back-door":
-            return IdentificationVerdict(
-                kind=NULL_EFFECT, formula=total_null_formula(x, y))
-        return IdentificationVerdict(
-            kind=NULL_EFFECT, formula=direct_null_formula(x, y))
+        return _verdict(effect, NULL_EFFECT, x, y)
 
     families = [_admissible_w_bits(n, m, xi, yi, criterion) for m in masks]
     common = -1
@@ -344,12 +337,7 @@ def _oracle(d, x, y, shared_order, criterion):
         wbits = min((w for w in range(1 << n) if common >> w & 1),
                     key=_subset_order_key(n))
         w = tuple(d.vertices[v] for v in range(n) if wbits >> v & 1)
-        if criterion == "back-door":
-            formula = total_adjustment_formula(x, y, w)
-        else:
-            formula = direct_adjustment_formula(x, y, w)
-        return IdentificationVerdict(
-            kind=ADJUSTMENT_IDENTIFIABLE, adjustment_set=w, formula=formula)
+        return _verdict(effect, ADJUSTMENT_IDENTIFIABLE, x, y, w=w)
 
     witness = None
     for (i, fam_i), (j, fam_j) in itertools.combinations(
@@ -358,7 +346,8 @@ def _oracle(d, x, y, shared_order, criterion):
             witness = (_dag_from_mask(d.vertices, masks[i]),
                        _dag_from_mask(d.vertices, masks[j]))
             break
-    return IdentificationVerdict(kind=NOT_IDENTIFIABLE, witness=witness)
+    return IdentificationVerdict(kind=NOT_IDENTIFIABLE, witness=witness,
+                                 effect=effect)
 
 
 def oracle_total(d, x, y, shared_order=False):

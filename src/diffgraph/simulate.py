@@ -14,12 +14,12 @@ are exposed as ground truths for end-to-end validation.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimate import CONTINUOUS, Dataset
-from .graphs import CausalDag, DifferenceGraph
+from .graphs import CausalDag, DifferenceGraph, check_shared_order
 from .oracle import (
     VERTEX_CAP,
     _acyclic,
@@ -221,10 +221,7 @@ def sample_compatible_pair(d, shared_order=False, seed=0):
         g1 = _dag_from_mask(d.vertices, g1_mask)
         g2 = _dag_from_mask(d.vertices, g2_mask)
     else:
-        if shared_order and not d.is_acyclic():
-            raise ValueError(
-                "difference graph is cyclic, so no pair of causal models "
-                "can share a topological order")
+        check_shared_order(d, shared_order)
         g1, g2 = _random_order_pair(d, shared_order, rng)
 
     coeff1, coeff2 = {}, {}

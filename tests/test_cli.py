@@ -181,6 +181,64 @@ def test_estimate_total_rejects_continuous_flag(graph_1h, tmp_path, capsys):
     assert "drop --continuous" in capsys.readouterr().err
 
 
+def _write_continuous(path, seed, alpha, n=20_000):
+    # gallery 1m: W1 -> X, W2 -> Y, X -> Y with direct coefficient alpha
+    rng = np.random.default_rng(seed)
+    w1 = rng.standard_normal(n)
+    w2 = rng.standard_normal(n)
+    x = 0.8 * w1 + rng.standard_normal(n)
+    y = alpha * x + 1.2 * w2 + rng.standard_normal(n)
+    Dataset(["W1", "X", "W2", "Y"], np.column_stack([w1, x, w2, y]),
+            "continuous").to_csv(path)
+
+
+def test_estimate_direct_recovers_the_coefficient(graph_1m, tmp_path,
+                                                  capsys):
+    csv = tmp_path / "c.csv"
+    _write_continuous(csv, 5, alpha=1.3)
+    argv = ["estimate-direct", "--graph", graph_1m, "--exposure", "X",
+            "--outcome", "Y", "--shared-order", "--data1", str(csv)]
+    assert main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"]["condition"] == "C.2"
+    assert doc["verdict"]["adjustment_set"] == ["W1", "W2"]
+    assert doc["estimate"] == pytest.approx(1.3, abs=0.05)
+    assert main(argv) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"alpha(X->Y) estimate: {doc['estimate']:.6f}"
+
+
+def test_estimate_direct_reads_the_data_for_a_null_effect(tmp_path,
+                                                          capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("Y -> X\n")
+    code = main(["estimate-direct", "--graph", str(path), "--exposure", "X",
+                 "--outcome", "Y", "--shared-order",
+                 "--data1", str(tmp_path / "missing.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_estimate_direct_rejects_discrete_flag(graph_1m, tmp_path, capsys):
+    csv = tmp_path / "c.csv"
+    _write_continuous(csv, 6, alpha=0.5, n=100)
+    code = main(["estimate-direct", "--graph", graph_1m, "--exposure", "X",
+                 "--outcome", "Y", "--shared-order", "--data1", str(csv),
+                 "--discrete"])
+    assert code == 1
+    assert "drop --discrete" in capsys.readouterr().err
+
+
+def test_estimate_direct_not_identifiable_exits_2(graph_1h, tmp_path,
+                                                  capsys):
+    csv = tmp_path / "c.csv"
+    _write_continuous(csv, 7, alpha=0.5, n=100)
+    code = main(["estimate-direct", "--graph", graph_1h, "--exposure", "X",
+                 "--outcome", "Y", "--shared-order", "--data1", str(csv)])
+    assert code == 2
+    assert "not identifiable" in capsys.readouterr().out
+
+
 def test_change_requires_a_kind_flag(graph_1m, tmp_path):
     csv = tmp_path / "d.csv"
     _write_discrete(csv, 4)

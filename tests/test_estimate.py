@@ -13,6 +13,7 @@ from diffgraph import (
     SingularDesignError,
     adjustment_total,
     causal_change,
+    estimate_effect,
     format_change_report,
     format_interventional_table,
     identify_direct,
@@ -300,6 +301,49 @@ def test_causal_change_total_uses_common_level_grid():
     assert t2.probabilities[0][2] == 0.0
     assert report.change.values.shape == (2, 3)
     assert np.allclose(report.change.values.sum(axis=1), 0.0)
+
+
+def test_estimate_effect_dispatches_on_effect_and_kind():
+    disc = _gallery_discrete(5)
+    assert np.array_equal(
+        estimate_effect(_total_verdict(), disc, "X", "Y").probabilities,
+        adjustment_total(disc, "X", "Y", ("W1",)).probabilities)
+    null_total = identify_total(
+        EffectQuery(DG_1H, "Y", "X", shared_order_assumed=True))
+    assert null_total.kind == "NullEffect"
+    assert np.array_equal(
+        estimate_effect(null_total, disc, "Y", "X").probabilities,
+        marginal_table(disc, "Y", "X").probabilities)
+    cont = _gallery_linear(12, alpha=0.7, n=2000)
+    assert estimate_effect(_direct_verdict(), cont, "X", "Y") == \
+        partial_regression_coefficient(cont, "X", "Y", ("W1", "W2"))
+    not_ident = identify_total(
+        EffectQuery(DG_1M, "X", "Y", shared_order_assumed=True))
+    with pytest.raises(ValueError, match="NotIdentifiable"):
+        estimate_effect(not_ident, disc, "X", "Y")
+
+
+def test_null_verdicts_still_check_the_data():
+    # D = {Y -> X}: both effects of X on Y are null, yet the data must
+    # still be of the estimator's kind and hold X and Y
+    q = EffectQuery(DifferenceGraph(edges=[("Y", "X")]), "X", "Y",
+                    shared_order_assumed=True)
+    direct, total = identify_direct(q), identify_total(q)
+    assert direct.kind == total.kind == "NullEffect"
+    other = Dataset(["A", "B"], np.zeros((4, 2)), DISCRETE)
+    with pytest.raises(ValueError, match="continuous"):
+        causal_change(direct, other, other, "X", "Y")
+    with pytest.raises(KeyError):
+        causal_change(total, other, other, "X", "Y")
+    with pytest.raises(KeyError):
+        estimate_effect(direct, Dataset(["A", "B"], np.zeros((4, 2)),
+                                        CONTINUOUS), "X", "Y")
+    with pytest.raises(ValueError, match="discrete"):
+        estimate_effect(total, Dataset(["X", "Y"], np.zeros((4, 2)),
+                                       CONTINUOUS), "X", "Y")
+    xy = Dataset(["X", "Y"], np.random.default_rng(0).standard_normal((4, 2)),
+                 CONTINUOUS)
+    assert estimate_effect(direct, xy, "X", "Y") == 0.0
 
 
 def test_causal_change_rejects_bad_inputs():

@@ -86,6 +86,17 @@ def test_causal_dag_rejects_cycles():
         CausalDag(edges=[("X", "Y"), ("Y", "X")])
 
 
+def test_cycle_error_names_only_vertices_on_a_cycle():
+    # Z and W lie downstream of the cycle, not on it
+    with pytest.raises(ValueError,
+                       match=r"cycle through \['X', 'Y'\]\)"):
+        CausalDag(edges=[("X", "Y"), ("Y", "X"), ("Y", "Z"), ("Z", "W")])
+    with pytest.raises(ValueError,
+                       match=r"cycle through \['B', 'C', 'D'\]\)"):
+        CausalDag(vertices=["A"], edges=[("A", "B"), ("B", "C"),
+                                         ("C", "D"), ("D", "B")])
+
+
 def test_topological_order_is_deterministic():
     g = CausalDag(vertices=["C", "A", "B"], edges=[("A", "B")])
     assert g.topological_order() == ("C", "A", "B")

@@ -6,8 +6,10 @@ import pytest
 
 from diffgraph import (
     ADJUSTMENT_IDENTIFIABLE,
+    DIRECT,
     NOT_IDENTIFIABLE,
     NULL_EFFECT,
+    TOTAL,
     CausalDag,
     DifferenceGraph,
     EffectQuery,
@@ -160,6 +162,24 @@ def test_verdict_as_dict_shapes():
         "condition": "none",
         "formula": "",
     }
+
+
+def test_verdicts_carry_their_effect():
+    """Every entry point labels its verdicts with the effect they decide,
+    for each kind, and the label stays out of the JSON document."""
+    for d, x, y, shared in ((DG_1H, "X", "Y", True), (DG_1H, "Y", "X", True),
+                            (DG_1M, "X", "Y", True), (DG_2C, "X", "Y", False)):
+        q = _q(d, x, y, shared)
+        total = (identify_total(q), identify_total_general(q),
+                 oracle_total(d, x, y, shared_order=shared))
+        direct = (identify_direct(q), identify_direct_general(q),
+                  oracle_direct(d, x, y, shared_order=shared))
+        if shared:
+            total += (identify_total_shared_order(q),)
+            direct += (identify_direct_shared_order(q),)
+        assert {v.effect for v in total} == {TOTAL}
+        assert {v.effect for v in direct} == {DIRECT}
+        assert all("effect" not in v.as_dict() for v in total + direct)
 
 
 def _all_difference_dags(max_vertices=4):
