@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return DifferenceGraph.from_edge_list(fh.read())
 
 

@@ -99,7 +99,7 @@ class Dataset:
     @classmethod
     def from_csv(cls, path, kind):
         """Read a dataset from CSV with a header row of variable names."""
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             header = fh.readline().strip()
             if not header:
                 raise ValueError(f"{path}: missing header row")
@@ -198,9 +198,10 @@ _NEEDS = {DISCRETE: "the adjustment formula needs discrete data",
           CONTINUOUS: "partial regression needs continuous data"}
 
 
-def _checked_inputs(data, kind, x, y, w):
+def _checked_inputs(data, kind, x, y, w, laplace=None):
     """Check that ``data`` is of ``kind`` and holds x, y and the members of
-    ``w``, distinct from each other; returns ``w`` as a tuple."""
+    ``w``, distinct from each other, and that ``laplace``, when given, is
+    positive; returns ``w`` as a tuple."""
     if data.kind != kind:
         raise ValueError(_NEEDS[kind])
     w = tuple(w)
@@ -212,7 +213,30 @@ def _checked_inputs(data, kind, x, y, w):
     for v in (x, y) + w:
         if v not in data.variable_names:
             raise KeyError(f"unknown variable {v!r}")
+    if laplace is not None and laplace <= 0:
+        raise ValueError("laplace smoothing must be positive")
     return w
+
+
+def _joint_counts(data, x, y, w, laplace, exposure_levels, outcome_levels):
+    """Checks for the discrete estimators, then the rows counted per
+    (stratum, x, y), strata being the distinct ``w`` codes in lexicographic
+    order.  Returns ``w`` as a tuple, each row's stratum and the counts."""
+    w = _checked_inputs(data, DISCRETE, x, y, w, laplace)
+    xcol, ycol = data.codes(x), data.codes(y)
+    kx = exposure_levels or data.cardinality(x)
+    ky = outcome_levels or data.cardinality(y)
+    if xcol.max() >= kx or ycol.max() >= ky:
+        raise ValueError("observed codes exceed the requested level grid")
+    stratum = np.zeros(len(data), dtype=np.int64)
+    for v in w:
+        # Ranking after every column keeps the key below rows**2.
+        levels, code = np.unique(data.codes(v), return_inverse=True)
+        stratum = np.unique(stratum * len(levels) + code,
+                            return_inverse=True)[1]
+    counts = np.bincount((stratum * kx + xcol) * ky + ycol,
+                         minlength=(stratum.max() + 1) * kx * ky)
+    return w, stratum, counts.reshape(-1, kx, ky)
 
 
 def adjustment_total(data, x, y, w, laplace=None,
@@ -220,9 +244,10 @@ def adjustment_total(data, x, y, w, laplace=None,
     """Plug-in adjustment estimate of P(y|do(x)).
 
     Computes sum over strata of the adjustment set ``w`` of
-    P-hat(y|x,w) P-hat(w) from empirical frequencies.  Strata never observed
-    contribute nothing; an observed stratum with no data at some exposure
-    value raises PositivityError naming the offending cell, unless
+    P-hat(y|x,w) P-hat(w) from one count of the rows per (stratum, x, y).
+    Strata never observed contribute nothing; an observed stratum with no
+    data at some exposure value raises PositivityError naming the first
+    such cell (strata in lexicographic order of their codes), unless
     ``laplace`` is given, in which case the conditional is add-alpha
     smoothed over the outcome codes.
 
@@ -230,61 +255,34 @@ def adjustment_total(data, x, y, w, laplace=None,
     what this dataset happens to contain (used when aligning two
     populations); values default to the observed cardinalities.
     """
-    w = _checked_inputs(data, DISCRETE, x, y, w)
-    if laplace is not None and laplace <= 0:
-        raise ValueError("laplace smoothing must be positive")
-    n = len(data)
-    xcol = data.codes(x)
-    ycol = data.codes(y)
-    kx = exposure_levels or data.cardinality(x)
-    ky = outcome_levels or data.cardinality(y)
-    if xcol.max() >= kx or ycol.max() >= ky:
-        raise ValueError("observed codes exceed the requested level grid")
-
-    if w:
-        wcols = np.stack([data.codes(v) for v in w], axis=1)
-        strata, stratum_of_row, counts = np.unique(
-            wcols, axis=0, return_inverse=True, return_counts=True)
-    else:
-        strata = np.zeros((1, 0), dtype=np.int64)
-        stratum_of_row = np.zeros(n, dtype=np.int64)
-        counts = np.array([n])
-
-    p = np.zeros((kx, ky))
-    for s, (stratum, count) in enumerate(zip(strata, counts)):
-        weight = count / n
-        in_stratum = stratum_of_row == s
-        for xv in range(kx):
-            sel = in_stratum & (xcol == xv)
-            m = int(sel.sum())
-            if m == 0 and laplace is None:
-                cell = ", ".join(f"{v}={val}" for v, val
-                                 in zip(w, stratum.tolist()))
-                where = f"{x}={xv}" + (f" within stratum {cell}" if w else "")
-                raise PositivityError(
-                    f"no observations for {where}; the distribution is not "
-                    f"positive there (rerun with Laplace smoothing to "
-                    f"estimate anyway)",
-                    stratum=dict(zip(w, stratum.tolist())),
-                    exposure_value=xv)
-            tally = np.bincount(ycol[sel], minlength=ky).astype(float)
-            if laplace is not None:
-                conditional = (tally + laplace) / (m + laplace * ky)
-            else:
-                conditional = tally / m
-            p[xv] += weight * conditional
+    w, stratum, counts = _joint_counts(data, x, y, w, laplace,
+                                       exposure_levels, outcome_levels)
+    _, kx, ky = counts.shape
+    m = counts.sum(axis=2, keepdims=True)
+    if laplace is None and not m.all():
+        s, xv, _ = np.argwhere(m == 0)[0].tolist()
+        cell = {v: int(data.codes(v)[stratum == s][0]) for v in w}
+        named = ", ".join(f"{v}={c}" for v, c in cell.items())
+        where = f"{x}={xv}" + (f" within stratum {named}" if w else "")
+        raise PositivityError(
+            f"no observations for {where}; the distribution is not positive "
+            f"there (rerun with Laplace smoothing to estimate anyway)",
+            stratum=cell, exposure_value=xv)
+    conditional = (counts / m if laplace is None
+                   else (counts + laplace) / (m + laplace * ky))
+    weight = counts.sum(axis=(1, 2)) / len(data)
+    p = (weight[:, None, None] * conditional).sum(axis=0)
     return InterventionalTable(tuple(range(kx)), tuple(range(ky)), p)
 
 
 def marginal_table(data, x, y, exposure_levels=None, outcome_levels=None):
     """The null-effect table: P(y|do(x)) = P-hat(y), identical for every
-    exposure value and computed from the same counts as P-hat(y)."""
-    _checked_inputs(data, DISCRETE, x, y, ())
-    kx = exposure_levels or data.cardinality(x)
-    ky = outcome_levels or data.cardinality(y)
-    ycol = data.codes(y)
-    marginal = np.bincount(ycol, minlength=ky) / len(data)
-    p = np.tile(marginal, (kx, 1))
+    exposure value; the count and the checks are those of
+    :func:`adjustment_total` with an empty adjustment set."""
+    counts = _joint_counts(data, x, y, (), None,
+                           exposure_levels, outcome_levels)[2]
+    _, kx, ky = counts.shape
+    p = np.tile(counts.sum(axis=(0, 1)) / len(data), (kx, 1))
     return InterventionalTable(tuple(range(kx)), tuple(range(ky)), p)
 
 
@@ -317,11 +315,11 @@ def estimate_effect(verdict, data, x, y, laplace=None,
 
     A total effect is a table of P(y|do(x)) from discrete data: the outcome
     marginal when the effect is null (:func:`marginal_table`), otherwise the
-    adjustment formula (:func:`adjustment_total`, which takes ``laplace``
-    and the level grids).  A direct effect is a float from continuous data:
-    0.0 when null, otherwise the partial regression coefficient.  The data
-    kind and the columns are checked for every verdict; a NotIdentifiable
-    verdict raises ValueError.
+    adjustment formula (:func:`adjustment_total`); only the latter smooths
+    with ``laplace``, but both reject a non-positive value.  A direct effect
+    is a float from continuous data: 0.0 when null, otherwise the partial
+    regression coefficient.  The data kind and the columns are checked for
+    every verdict; a NotIdentifiable verdict raises ValueError.
     """
     if verdict.kind == NOT_IDENTIFIABLE:
         raise ValueError("verdict is NotIdentifiable; nothing to estimate")
@@ -332,6 +330,7 @@ def estimate_effect(verdict, data, x, y, laplace=None,
             return 0.0
         return partial_regression_coefficient(data, x, y, w)
     if verdict.kind == NULL_EFFECT:
+        _checked_inputs(data, DISCRETE, x, y, (), laplace)
         return marginal_table(data, x, y, exposure_levels, outcome_levels)
     return adjustment_total(data, x, y, w, laplace,
                             exposure_levels, outcome_levels)

@@ -140,62 +140,41 @@ def _partner_masks(d, g1_mask, shared_order):
 
 
 def _random_order_pair(d, shared_order, rng):
-    """Structure pair for graphs beyond the enumeration cap, built from a
-    randomized vertex ordering."""
+    """Structure pair for graphs beyond the enumeration cap, acyclic by
+    construction: each DAG takes only edges that point forward in its own
+    vertex order.
+
+    Under a shared order both orders are one random topological order of
+    ``d``; otherwise order 1 is a random permutation and order 2 a random
+    topological order of the D-edges that order 1 points backwards.  A
+    D-edge forward in both orders goes to G1, G2 or both (a third each) and
+    one forward in a single order to that order's DAG; a non-D pair
+    forward in both becomes a shared edge with probability 1/4.
+    """
     vertices = list(d.vertices)
 
-    def random_topological_order():
-        remaining = dict.fromkeys(vertices)
-        indegree = {v: len(d.parents(v)) for v in vertices}
-        order = []
-        while remaining:
-            ready = [v for v in remaining if indegree[v] == 0]
-            pick = ready[int(rng.integers(len(ready)))]
-            del remaining[pick]
-            order.append(pick)
-            for c in d.children(pick):
-                if c in remaining:
-                    indegree[c] -= 1
-        return order
+    def random_order(edges):
+        # Kahn's lowest-index rule on shuffled vertices gives a random
+        # topological order.
+        shuffled = [str(v) for v in rng.permutation(vertices)]
+        order = CausalDag(vertices=shuffled, edges=edges).topological_order()
+        return {v: i for i, v in enumerate(order)}
 
-    if shared_order:
-        order = random_topological_order()
-        pos = {v: i for i, v in enumerate(order)}
-        shared = [(t, h) for t, h in itertools.permutations(vertices, 2)
-                  if pos[t] < pos[h] and (t, h) not in d.edges
-                  and rng.random() < 0.25]
-        e1, e2 = set(shared), set(shared)
-        for e in sorted(d.edges):
+    pos1 = random_order(d.edges if shared_order else ())
+    pos2 = pos1 if shared_order else random_order(
+        [(t, h) for t, h in d.edges if pos1[t] > pos1[h]])
+    e1, e2 = set(), set()
+    for t, h in itertools.permutations(vertices, 2):
+        in1, in2 = pos1[t] < pos1[h], pos2[t] < pos2[h]
+        if (t, h) not in d.edges:
+            in1 = in2 = in1 and in2 and rng.random() < 0.25
+        elif in1 and in2:
             lot = rng.random()
-            if lot < 2 / 3:
-                e1.add(e)
-            if lot >= 1 / 3:
-                e2.add(e)
-        return (CausalDag(vertices=vertices, edges=e1),
-                CausalDag(vertices=vertices, edges=e2))
-
-    for _ in range(32):
-        order = [str(v) for v in rng.permutation(vertices)]
-        pos = {v: i for i, v in enumerate(order)}
-        forward = sorted(e for e in d.edges if pos[e[0]] < pos[e[1]])
-        backward = sorted(e for e in d.edges if pos[e[0]] > pos[e[1]])
-        shared = [(t, h) for t, h in itertools.permutations(vertices, 2)
-                  if pos[t] < pos[h] and (t, h) not in d.edges
-                  and rng.random() < 0.25]
-        e1 = set(forward) | set(shared)
-        e2 = set(backward) | set(shared)
-        for e in forward:
-            if rng.random() < 1 / 3:
-                e2.add(e)
-        try:
-            return (CausalDag(vertices=vertices, edges=e1),
-                    CausalDag(vertices=vertices, edges=e2))
-        except ValueError:
-            continue
-    order = [str(v) for v in rng.permutation(vertices)]
-    pos = {v: i for i, v in enumerate(order)}
-    e1 = {e for e in d.edges if pos[e[0]] < pos[e[1]]}
-    e2 = d.edges - e1
+            in1, in2 = lot < 2 / 3, lot >= 1 / 3
+        if in1:
+            e1.add((t, h))
+        if in2:
+            e2.add((t, h))
     return (CausalDag(vertices=vertices, edges=e1),
             CausalDag(vertices=vertices, edges=e2))
 
@@ -205,11 +184,12 @@ def sample_compatible_pair(d, shared_order=False, seed=0):
 
     Structure first: within the enumeration cap the first DAG is drawn
     uniformly from the oracle's compatible-DAG enumeration and its partner
-    uniformly from that DAG's valid partners; beyond the cap a randomized
-    topological-order construction is used.  Coefficients of changed edges
-    come from +-Uniform[0.2, 1.0], redrawn until the two models differ by at
-    least the 0.2 separation margin; unchanged edges share one draw.  Noise
-    scales are 1.0.  Deterministic given the seed.
+    uniformly from that DAG's valid partners; beyond the cap each DAG takes
+    only edges pointing forward in its own random vertex order.
+    Coefficients of changed edges come from +-Uniform[0.2, 1.0], redrawn
+    until the two models differ by at least the 0.2 separation margin;
+    unchanged edges share one draw.  Noise scales are 1.0.  Deterministic
+    given the seed.
     """
     rng = np.random.default_rng(seed)
     if len(d.vertices) <= VERTEX_CAP:

@@ -163,6 +163,35 @@ def test_estimate_total_null_effect_uses_marginal(graph_1h, tmp_path,
     assert np.array_equal(probs[1], marginal)
 
 
+def test_total_null_effect_rejects_a_nonpositive_laplace(graph_1h, tmp_path,
+                                                        capsys):
+    csv = tmp_path / "d.csv"
+    _write_discrete(csv, 1, n=200)
+    query = ["--graph", graph_1h, "--exposure", "Y", "--outcome", "X",
+             "--shared-order", "--laplace", "-1"]
+    for argv in (["estimate-total", "--data1", str(csv)],
+                 ["change", "--discrete", "--data1", str(csv),
+                  "--data2", str(csv)]):
+        assert main(argv + query) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "laplace smoothing must be positive" in captured.err
+
+
+def test_byte_order_marks_are_not_part_of_names(tmp_path, capsys):
+    graph = tmp_path / "bom.txt"
+    graph.write_text("\ufeff" + DG_1H.to_edge_list(), encoding="utf-8")
+    csv = tmp_path / "d.csv"
+    _write_discrete(csv, 2, n=200)
+    csv.write_text("\ufeff" + csv.read_text(encoding="utf-8"),
+                   encoding="utf-8")
+    code = main(["change", "--graph", str(graph), "--exposure", "W1",
+                 "--outcome", "Y", "--shared-order", "--discrete",
+                 "--data1", str(csv), "--data2", str(csv)])
+    assert code == 0
+    assert "total causal change for W1 -> Y" in capsys.readouterr().out
+
+
 def test_estimate_total_not_identifiable_exits_2(graph_1m, tmp_path, capsys):
     csv = tmp_path / "d.csv"
     _write_discrete(csv, 2)

@@ -71,6 +71,14 @@ def test_dataset_csv_round_trip(tmp_path):
     assert np.array_equal(again.rows, cont.rows)
 
 
+def test_from_csv_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeffX,Y\n0,1\n1,0\n", encoding="utf-8")
+    data = Dataset.from_csv(path, DISCRETE)
+    assert data.variable_names == ("X", "Y")
+    assert list(data.codes("X")) == [0, 1]
+
+
 def test_from_csv_rejects_junk(tmp_path):
     empty = tmp_path / "e.csv"
     empty.write_text("")
@@ -127,6 +135,39 @@ def test_positivity_error_names_the_empty_cell():
     assert "x=1" in str(err) and "w=1" in str(err)
 
 
+def test_positivity_error_names_the_lexicographically_first_cell():
+    # strata (w1, w2): (1, 0) lacks x=0 and comes first in the rows, but
+    # (0, 1), which lacks x=1, comes first in lexicographic order
+    data = _discrete(None, w1=[1, 1, 0, 0, 0, 0, 1, 1],
+                     w2=[0, 0, 1, 1, 0, 0, 1, 1],
+                     x=[1, 1, 0, 0, 0, 1, 0, 1],
+                     y=[0, 1, 1, 0, 0, 1, 1, 0])
+    with pytest.raises(PositivityError) as exc_info:
+        adjustment_total(data, "x", "y", ("w1", "w2"))
+    err = exc_info.value
+    assert err.stratum == {"w1": 0, "w2": 1}
+    assert err.exposure_value == 1
+    assert str(err).startswith(
+        "no observations for x=1 within stratum w1=0, w2=1;")
+
+
+def test_large_stratum_codes_give_the_relabelled_table():
+    rng = np.random.default_rng(11)
+    n = 600
+    small = rng.integers(0, 3, size=(n, 2))
+    x = rng.integers(0, 2, size=n)
+    y = rng.integers(0, 3, size=n)
+    relabelled = _discrete(None, w1=small[:, 0], w2=small[:, 1], x=x, y=y)
+    # order-preserving codes from 2**40 up to 2**53
+    large = _discrete(None, w1=2**40 + small[:, 0] * 2**45,
+                      w2=2**53 - 2 + small[:, 1], x=x, y=y)
+    for laplace in (None, 0.5):
+        expected = adjustment_total(relabelled, "x", "y", ("w1", "w2"),
+                                    laplace)
+        got = adjustment_total(large, "x", "y", ("w1", "w2"), laplace)
+        assert np.array_equal(got.probabilities, expected.probabilities)
+
+
 def test_laplace_smoothing_fills_empty_cells():
     data = _discrete(None, w=[0, 0, 1, 1], x=[0, 1, 0, 0], y=[0, 1, 1, 0])
     table = adjustment_total(data, "x", "y", ("w",), laplace=1.0)
@@ -145,6 +186,9 @@ def test_requested_level_grid_extends_the_table():
     assert table.probabilities[0][2] == 0.0
     with pytest.raises(ValueError, match="exceed"):
         adjustment_total(data, "x", "y", (), outcome_levels=1)
+    gapped = _discrete(None, x=[0, 1], y=[0, 2])
+    with pytest.raises(ValueError, match="exceed the requested level grid"):
+        marginal_table(gapped, "x", "y", outcome_levels=2)
 
 
 def test_marginal_table_matches_empirical_marginal_exactly():
@@ -344,6 +388,22 @@ def test_null_verdicts_still_check_the_data():
     xy = Dataset(["X", "Y"], np.random.default_rng(0).standard_normal((4, 2)),
                  CONTINUOUS)
     assert estimate_effect(direct, xy, "X", "Y") == 0.0
+
+
+def test_null_total_verdicts_check_laplace():
+    null_total = identify_total(
+        EffectQuery(DG_1H, "Y", "X", shared_order_assumed=True))
+    assert null_total.kind == "NullEffect"
+    disc = _gallery_discrete(6, n=200)
+    for bad in (0, -1.0):
+        with pytest.raises(ValueError, match="laplace smoothing must be"):
+            estimate_effect(null_total, disc, "Y", "X", laplace=bad)
+        with pytest.raises(ValueError, match="laplace smoothing must be"):
+            causal_change(null_total, disc, disc, "Y", "X", laplace=bad)
+    # a positive value is accepted; the marginal needs no smoothing
+    assert np.array_equal(
+        estimate_effect(null_total, disc, "Y", "X", laplace=1.0).probabilities,
+        marginal_table(disc, "Y", "X").probabilities)
 
 
 def test_causal_change_rejects_bad_inputs():

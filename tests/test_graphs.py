@@ -266,6 +266,20 @@ def test_d_separation_matches_path_enumeration(g, data):
     assert fast == g.d_separated(y, x, w)
 
 
+@settings(max_examples=300)
+@given(dags(max_vertices=6), st.data())
+def test_d_separation_matches_networkx(g, data):
+    nx = pytest.importorskip("networkx")
+    x, y = data.draw(
+        st.sampled_from(list(itertools.combinations(g.vertices, 2))))
+    rest = [v for v in g.vertices if v not in (x, y)]
+    w = data.draw(st.sets(st.sampled_from(rest)) if rest
+                  else st.just(set()))
+    h = nx.DiGraph(g.edges)
+    h.add_nodes_from(g.vertices)
+    assert g.d_separated(x, y, w) == nx.is_d_separator(h, {x}, {y}, w)
+
+
 @given(dags(max_vertices=5))
 def test_edge_list_round_trip_property(g):
     assert CausalDag.from_edge_list(g.to_edge_list()) == g

@@ -1,5 +1,7 @@
 """Linear-SCM pair sampling and ancestral dataset generation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,29 @@ def test_above_cap_cyclic_difference_general_mode():
     assert recompute_difference_graph(pair.scm1, pair.scm2) == d
     with pytest.raises(ValueError, match="cyclic"):
         sample_compatible_pair(d, shared_order=True, seed=5)
+
+
+def test_above_cap_pairs_reproduce_random_difference_graphs():
+    rng = np.random.default_rng(2024)
+    two_cycles = shared_edges = 0
+    for case in range(60):
+        n = int(rng.integers(6, 13))
+        names = [f"V{i}" for i in range(n)]
+        shared = case % 2 == 0
+        if shared:
+            order = [names[i] for i in rng.permutation(n)]
+            candidates = itertools.combinations(order, 2)
+        else:
+            candidates = itertools.permutations(names, 2)
+        edges = [e for e in candidates if rng.random() < 0.2]
+        d = DifferenceGraph(vertices=names, edges=edges)
+        two_cycles += sum((h, t) in d.edges for t, h in d.edges)
+        pair = sample_compatible_pair(d, shared_order=shared, seed=case)
+        assert recompute_difference_graph(pair.scm1, pair.scm2) == d
+        assert is_compatible_pair(pair.scm1.dag, pair.scm2.dag, d, shared)
+        if shared:
+            assert shares_topological_order(pair.scm1.dag, pair.scm2.dag)
+        shared_edges += len(pair.scm1.dag.edges & pair.scm2.dag.edges
+                            - d.edges)
+    assert two_cycles > 0
+    assert shared_edges > 0
