@@ -54,6 +54,9 @@ class Dataset:
     kind : {"discrete", "continuous"}
         Discrete data must be non-negative integer codes; the cardinality of
         a variable is one plus its largest observed code.
+
+    A bad cell is reported by the first one in row-major order, as "row r,
+    column 'name'" with rows counted from 1.
     """
 
     def __init__(self, variable_names, rows, kind):
@@ -61,20 +64,27 @@ class Dataset:
         for name in names:
             _check_label(name)
         if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
+            dup = next(v for i, v in enumerate(names) if v in names[:i])
+            raise ValueError(f"duplicate variable name {dup!r}")
         if kind not in (DISCRETE, CONTINUOUS):
             raise ValueError(f"kind must be {DISCRETE!r} or {CONTINUOUS!r}")
         data = np.asarray(rows, dtype=float)
-        if data.ndim != 2 or data.shape[1] != len(names):
-            raise ValueError(
-                f"rows must be an N x {len(names)} matrix, got shape "
-                f"{data.shape}")
+        if data.ndim != 2:
+            raise ValueError(f"rows must be a matrix, got shape {data.shape}")
+        if data.shape[1] != len(names):
+            raise ValueError(f"{len(names)} variable names but "
+                             f"{data.shape[1]} columns per row")
         if not np.all(np.isfinite(data)):
-            raise ValueError("dataset contains non-finite cells")
+            raise ValueError(
+                f"non-finite cell at {_first_cell(names, ~np.isfinite(data))}")
         if kind == DISCRETE:
-            if np.any(data < 0) or np.any(data != np.floor(data)):
+            # the non-negative integers are the fixed points of |floor(v)|
+            floor = np.floor(data)
+            bad = data != np.abs(floor, out=floor)
+            if bad.any():
                 raise ValueError(
-                    "discrete data must be non-negative integer codes")
+                    "discrete data must be non-negative integer codes, got "
+                    f"{data[bad][0]:g} at {_first_cell(names, bad)}")
         self.variable_names = names
         self.rows = data
         self.kind = kind
@@ -98,27 +108,38 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path, kind):
-        """Read a dataset from CSV with a header row of variable names."""
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            header = fh.readline().strip()
-            if not header:
-                raise ValueError(f"{path}: missing header row")
-            names = [c.strip() for c in header.split(",")]
-            try:
+        """Read a dataset from CSV with a header row of unquoted variable
+        names; blank lines are skipped.  Every ValueError names ``path``."""
+        try:
+            with open(path, "r", encoding="utf-8-sig") as fh:
+                header = fh.readline().strip()
+                if not header:
+                    raise ValueError("missing header row")
+                names = [c.strip() for c in header.split(",")]
+                for i, name in enumerate(names, start=1):
+                    if '"' in name:
+                        raise ValueError(f"column {i} name {name} is quoted; "
+                                         "write names without quotes")
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)
                     data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-        if data.size == 0:
-            raise ValueError(f"{path}: no data rows")
-        return cls(names, data, kind)
+            if data.size == 0:
+                raise ValueError("no data rows")
+            return cls(names, data, kind)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_csv(self, path):
         fmt = "%d" if self.kind == DISCRETE else "%.17g"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(self.variable_names) + "\n")
             np.savetxt(fh, self.rows, fmt=fmt, delimiter=",")
+
+
+def _first_cell(names, bad):
+    """Where the first True of the boolean matrix ``bad`` lies."""
+    r, c = np.argwhere(bad)[0].tolist()
+    return f"row {r + 1}, column {names[c]!r}"
 
 
 @dataclass
@@ -318,13 +339,16 @@ def estimate_effect(verdict, data, x, y, laplace=None,
     adjustment formula (:func:`adjustment_total`); only the latter smooths
     with ``laplace``, but both reject a non-positive value.  A direct effect
     is a float from continuous data: 0.0 when null, otherwise the partial
-    regression coefficient.  The data kind and the columns are checked for
-    every verdict; a NotIdentifiable verdict raises ValueError.
+    regression coefficient, which takes no ``laplace``.  The data kind and
+    the columns are checked for every verdict; a NotIdentifiable verdict
+    raises ValueError.
     """
     if verdict.kind == NOT_IDENTIFIABLE:
         raise ValueError("verdict is NotIdentifiable; nothing to estimate")
     w = verdict.adjustment_set or ()
     if verdict.effect == DIRECT:
+        if laplace is not None:
+            raise ValueError("laplace smoothing applies to total effects only")
         if verdict.kind == NULL_EFFECT:
             _checked_inputs(data, CONTINUOUS, x, y, ())
             return 0.0

@@ -50,32 +50,30 @@ class _Digraph:
     """
 
     def __init__(self, vertices=(), edges=()):
-        order = []
-        seen = set()
+        # name -> position in order of first appearance; checked when new
+        index = {}
         for v in vertices:
-            _check_label(v)
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
+            if v not in index:
+                _check_label(v)
+                index[v] = len(index)
         edge_set = set()
         for tail, head in edges:
             for v in (tail, head):
-                _check_label(v)
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
+                if v not in index:
+                    _check_label(v)
+                    index[v] = len(index)
             if tail == head:
                 raise ValueError(f"self-loop on {tail!r} is not allowed")
             edge_set.add((tail, head))
-        self._vertices = tuple(order)
+        self._index = index
+        self._vertices = tuple(index)
         self._edges = frozenset(edge_set)
-        self._index = {v: i for i, v in enumerate(order)}
-        self._parents = {v: [] for v in order}
-        self._children = {v: [] for v in order}
+        self._parents = {v: [] for v in index}
+        self._children = {v: [] for v in index}
         for tail, head in edge_set:
             self._parents[head].append(tail)
             self._children[tail].append(head)
-        for v in order:
+        for v in index:
             self._parents[v].sort(key=self._index.__getitem__)
             self._children[v].sort(key=self._index.__getitem__)
 
@@ -210,8 +208,7 @@ class _Digraph:
 
 
 def _parse_edge_list_text(text):
-    vertices = []
-    seen = set()
+    first = {}  # names in order of first appearance
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -230,18 +227,17 @@ def _parse_edge_list_text(text):
                     "or '<tail> -> <head>')")
             names = tokens[1:]
         for name in names:
-            try:
-                _check_label(name)
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-            if name not in seen:
-                seen.add(name)
-                vertices.append(name)
+            if name not in first:
+                try:
+                    _check_label(name)
+                except ValueError as exc:
+                    raise ParseError(lineno, str(exc)) from None
+                first[name] = None
         if len(names) == 2:
             if names[0] == names[1]:
                 raise ParseError(lineno, f"self-loop on {names[0]!r}")
             edges.append(names)
-    return vertices, edges
+    return list(first), edges
 
 
 class DifferenceGraph(_Digraph):

@@ -53,13 +53,14 @@ from .identify import (
     NOT_IDENTIFIABLE,
     NULL_EFFECT,
     TOTAL,
+    EffectQuery,
     IdentificationVerdict,
     _verdict,
 )
 
 VERTEX_CAP = 5
-# A 5-vertex difference graph can have 17,632 compatible DAGs, about 0.6 MB
-# of memo as a tuple of ints.
+# A 5-vertex difference graph has at most 29,281 compatible DAGs (all of
+# them, for the empty graph), about 1.05 MB of memo as a tuple of ints.
 COMPATIBLE_MEMO_SIZE = 32
 # Per-mask memos, each about 6 MB when full.  One cold and one warm pass of
 # the benchmark's verdict-sweep leave at most 9,570 entries in the largest
@@ -308,12 +309,7 @@ def enumerate_compatible_dags(d, shared_order=False):
 
 def _oracle(d, x, y, shared_order, criterion):
     n, index, d_mask = _checked_setup(d, shared_order)
-    if x not in d:
-        raise KeyError(f"unknown vertex {x!r}")
-    if y not in d:
-        raise KeyError(f"unknown vertex {y!r}")
-    if x == y:
-        raise ValueError("exposure and outcome must be distinct")
+    EffectQuery(d, x, y)  # _checked_setup has checked the shared order
     xi, yi = index[x], index[y]
     effect = TOTAL if criterion == "back-door" else DIRECT
     masks = _compatible_masks(n, d_mask, shared_order)

@@ -62,6 +62,11 @@ GALLERY_EXPECTED = {
 }
 
 
+def test_gallery_entry_rejects_an_unknown_id():
+    with pytest.raises(KeyError, match="no gallery graph with id '9z'"):
+        gallery_entry("9z")
+
+
 def test_gallery_verdicts_match_documented_answers():
     for graph_id, expected in GALLERY_EXPECTED.items():
         entry = gallery_entry(graph_id)

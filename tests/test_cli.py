@@ -122,6 +122,32 @@ def test_oracle_vertex_cap_exits_1(tmp_path, capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_oracle_text_for_null_and_adjustable_verdicts(graph_1h, capsys):
+    base = ["oracle-total", "--graph", graph_1h, "--shared-order"]
+    assert main(base + ["--exposure", "Y", "--outcome", "X"]) == 0
+    assert capsys.readouterr().out == (
+        "oracle (shared-order mode), total effect of Y on X: null effect "
+        "in every compatible model; P(X|do(Y)) = P(X)\n")
+    assert main(base + ["--exposure", "X", "--outcome", "Y"]) == 0
+    assert capsys.readouterr().out == (
+        "oracle (shared-order mode), total effect of X on Y: identifiable; "
+        "{W1} is admissible in every compatible model; "
+        "P(Y|do(X)) = sum_{W1} P(Y|X,W1) P(W1)\n")
+
+
+def test_oracle_query_errors_exit_1(graph_1h, capsys):
+    for command in ("oracle-total", "oracle-direct"):
+        for x, y, message in (("X", "Z", "unknown vertex 'Z'"),
+                              ("X", "X", "must be distinct")):
+            assert main([command, "--graph", graph_1h, "--exposure", x,
+                         "--outcome", y]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert message in captured.err
+    assert captured.err == "error: exposure and outcome must be distinct\n"
+
+
 def _write_discrete(path, seed, n=8000):
     rng = np.random.default_rng(seed)
     w1 = (rng.random(n) < 0.5).astype(float)
@@ -176,6 +202,30 @@ def test_total_null_effect_rejects_a_nonpositive_laplace(graph_1h, tmp_path,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "laplace smoothing must be positive" in captured.err
+
+
+def test_change_not_identifiable_exits_2(graph_1m, tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    _write_discrete(csv, 2, n=200)
+    code = main(["change", "--graph", graph_1m, "--exposure", "X",
+                 "--outcome", "Y", "--shared-order", "--discrete",
+                 "--data1", str(csv), "--data2", str(csv)])
+    assert code == 2
+    assert capsys.readouterr().out == (
+        "total effect of X on Y: not identifiable from the difference graph "
+        "alone\n")
+
+
+def test_change_names_a_missing_exposure_column(graph_1h, tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    Dataset(["W1", "W2", "Y"], np.zeros((4, 3)), "discrete").to_csv(csv)
+    code = main(["change", "--graph", graph_1h, "--exposure", "X",
+                 "--outcome", "Y", "--shared-order", "--discrete",
+                 "--data1", str(csv), "--data2", str(csv)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown variable 'X'\n"
 
 
 def test_byte_order_marks_are_not_part_of_names(tmp_path, capsys):
@@ -300,6 +350,21 @@ def test_simulate_then_change_end_to_end(graph_1m, tmp_path, capsys):
     assert doc["report"]["quantity"] == "direct"
     assert doc["report"]["change"] == pytest.approx(alpha1 - alpha2,
                                                     abs=0.05)
+
+
+def test_change_continuous_rejects_laplace(graph_1m, tmp_path, capsys):
+    csv = tmp_path / "c.csv"
+    _write_continuous(csv, 8, alpha=0.5, n=100)
+    for laplace in ("-1", "1"):
+        code = main(["change", "--graph", graph_1m, "--exposure", "X",
+                     "--outcome", "Y", "--shared-order", "--continuous",
+                     "--data1", str(csv), "--data2", str(csv),
+                     "--laplace", laplace])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: laplace smoothing applies to total "
+                                "effects only\n")
 
 
 def test_simulate_is_reproducible(graph_1h, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffgraph import (
     CONTINUOUS,
@@ -32,18 +34,26 @@ def _discrete(columns, **named):
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate variable name 'a'"):
         Dataset(["a", "a"], np.zeros((2, 2)), DISCRETE)
     with pytest.raises(ValueError, match="kind"):
         Dataset(["a"], np.zeros((2, 1)), "fuzzy")
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite cell at row 1, "
+                                         "column 'a'"):
         Dataset(["a"], np.array([[np.nan]]), CONTINUOUS)
-    with pytest.raises(ValueError):
+    # the first bad cell in row-major order is named
+    with pytest.raises(ValueError, match="non-finite cell at row 2, "
+                                         "column 'b'"):
+        Dataset(["a", "b"], np.array([[0, 1], [1, np.nan], [np.inf, 0]]),
+                CONTINUOUS)
+    with pytest.raises(ValueError, match="2 variable names but 3 columns"):
         Dataset(["a", "b"], np.zeros((2, 3)), CONTINUOUS)
-    with pytest.raises(ValueError, match="integer"):
+    with pytest.raises(ValueError, match="integer codes, got 0.5 at row 1"):
         Dataset(["a"], np.array([[0.5]]), DISCRETE)
-    with pytest.raises(ValueError, match="integer"):
-        Dataset(["a"], np.array([[-1.0]]), DISCRETE)
+    with pytest.raises(ValueError, match="integer codes, got -1 at row 2, "
+                                         "column 'b'"):
+        Dataset(["a", "b"], np.array([[0, 0], [0, -1.0], [0.5, 0]]),
+                DISCRETE)
 
 
 def test_dataset_accessors():
@@ -80,14 +90,86 @@ def test_from_csv_drops_a_byte_order_mark(tmp_path):
 
 
 def test_from_csv_rejects_junk(tmp_path):
-    empty = tmp_path / "e.csv"
-    empty.write_text("")
-    with pytest.raises(ValueError, match="header"):
-        Dataset.from_csv(empty, DISCRETE)
-    headed = tmp_path / "h.csv"
-    headed.write_text("a,b\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        Dataset.from_csv(headed, DISCRETE)
+    for body, message in (
+            ("", "missing header row"),
+            ("a,b\n", "no data rows"),
+            # blank lines do not count as rows
+            ("X,Y\n0,1\n\n1,nan\n", "non-finite cell at row 2, column 'Y'"),
+            ("X,Y\n0,1\n1.5,0\n", "got 1.5 at row 2, column 'X'"),
+            ("X,,Y\n0,1,1\n", "variable names must be non-empty"),
+            ("X,X\n0,1\n", "duplicate variable name 'X'")):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError) as exc_info:
+            Dataset.from_csv(path, DISCRETE)
+        assert str(exc_info.value).startswith(f"{path}: ")
+        assert message in str(exc_info.value)
+
+
+_CSV_NAMES = st.lists(st.sampled_from(["X", "Y", "W1", "W2", "Z"]),
+                      min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def _csv_tables(draw):
+    names = draw(_CSV_NAMES)
+    rows = draw(st.lists(st.lists(st.integers(0, 9), min_size=len(names),
+                                  max_size=len(names)),
+                         min_size=1, max_size=5))
+    return names, rows
+
+
+def _csv_text(names, rows, newline="\n"):
+    lines = [",".join(names)] + [",".join(map(str, r)) for r in rows]
+    return newline.join(lines) + newline
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=_csv_tables(), blanks=st.integers(0, 3))
+def test_from_csv_reads_crlf_and_trailing_blank_lines(tmp_path_factory,
+                                                      table, blanks):
+    names, rows = table
+    folder = tmp_path_factory.mktemp("csv")
+    plain, crlf = folder / "lf.csv", folder / "crlf.csv"
+    plain.write_text(_csv_text(names, rows), newline="")
+    crlf.write_text(_csv_text(names, rows, "\r\n") + "\r\n" * blanks,
+                    newline="")
+    want = Dataset.from_csv(plain, DISCRETE)
+    got = Dataset.from_csv(crlf, DISCRETE)
+    assert got.variable_names == want.variable_names == tuple(names)
+    assert np.array_equal(got.rows, want.rows)
+    assert np.array_equal(want.rows, np.array(rows, dtype=float))
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=_csv_tables(), data=st.data())
+def test_from_csv_bad_input_names_file_and_place(tmp_path_factory, table,
+                                                 data):
+    names, rows = table
+    path = tmp_path_factory.mktemp("csv") / "bad.csv"
+    fault = data.draw(st.sampled_from(["quoted", "mismatch", "word"]))
+    col = data.draw(st.integers(0, len(names) - 1))
+    if fault == "quoted":
+        names = names[:col] + [f'"{names[col]}"'] + names[col + 1:]
+        expected = [f"column {col + 1} name {names[col]} is quoted"]
+    elif fault == "mismatch":
+        extra = data.draw(st.integers(1, 2))
+        rows = [r + [0] * extra for r in rows]
+        expected = [f"{len(names)} variable names but "
+                    f"{len(names) + extra} columns per row"]
+    else:
+        row = data.draw(st.integers(0, len(rows) - 1))
+        rows = [list(r) for r in rows]
+        rows[row][col] = "abc"
+        # numpy's reader counts rows from 0 and columns from 1
+        expected = ["'abc'", f"row {row}, column {col + 1}"]
+    path.write_text(_csv_text(names, rows))
+    with pytest.raises(ValueError) as exc_info:
+        Dataset.from_csv(path, DISCRETE)
+    message = str(exc_info.value)
+    assert message.startswith(f"{path}: ")
+    for part in expected:
+        assert part in message
 
 
 def test_empty_adjustment_set_equals_conditional_distribution():
@@ -197,6 +279,16 @@ def test_marginal_table_matches_empirical_marginal_exactly():
     marginal = np.bincount([2, 0, 2, 1, 0], minlength=3) / 5
     for row in table.probabilities:
         assert np.array_equal(row, marginal)
+
+
+def test_exposure_and_outcome_stay_out_of_the_adjustment_set():
+    data = _discrete(None, x=[0, 1], y=[1, 0], w=[0, 0])
+    for w in (("w", "x"), ("y",)):
+        with pytest.raises(ValueError, match="not be in the adjustment set"):
+            adjustment_total(data, "x", "y", w)
+    cont = Dataset(["x", "y"], np.zeros((4, 2)), CONTINUOUS)
+    with pytest.raises(ValueError, match="not be in the adjustment set"):
+        partial_regression_coefficient(cont, "x", "y", ("x",))
 
 
 def test_adjustment_requires_discrete_data():
@@ -406,6 +498,22 @@ def test_null_total_verdicts_check_laplace():
         marginal_table(disc, "Y", "X").probabilities)
 
 
+def test_direct_effects_reject_laplace():
+    data = Dataset(["W1", "X", "W2", "Y"],
+                   np.random.default_rng(5).standard_normal((50, 4)),
+                   CONTINUOUS)
+    null_direct = identify_direct(
+        EffectQuery(DG_1H, "Y", "X", shared_order_assumed=True))
+    for verdict, x, y in ((_direct_verdict(), "X", "Y"),
+                          (null_direct, "Y", "X")):
+        assert verdict.effect == "direct"
+        for laplace in (-1.0, 1.0):
+            with pytest.raises(ValueError, match="total effects only"):
+                estimate_effect(verdict, data, x, y, laplace=laplace)
+            with pytest.raises(ValueError, match="total effects only"):
+                causal_change(verdict, data, data, x, y, laplace=laplace)
+
+
 def test_causal_change_rejects_bad_inputs():
     data = _gallery_discrete(1)
     not_ident = identify_total(
@@ -415,6 +523,9 @@ def test_causal_change_rejects_bad_inputs():
     other = Dataset(["A", "B"], np.zeros((2, 2)), DISCRETE)
     with pytest.raises(ValueError, match="different variables"):
         causal_change(_total_verdict(), data, other, "X", "Y")
+    as_continuous = Dataset(data.variable_names, data.rows, CONTINUOUS)
+    with pytest.raises(ValueError, match="different kinds"):
+        causal_change(_total_verdict(), data, as_continuous, "X", "Y")
 
 
 def test_interventional_table_validation():

@@ -1,11 +1,13 @@
 """Graph core: construction, reachability, orders, d-separation, parsing."""
 
+import collections
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffgraph import graphs
 from diffgraph import (
     CausalDag,
     DifferenceGraph,
@@ -190,12 +192,34 @@ def test_edge_list_parsing_details():
     ("node\n", 1),
     ("node A\njust words\n", 2),
     ("A -> \n", 1),
+    # a bad name first seen after valid lines
+    ("node A\nA -> B\nB -> \n", 3),
+    ("A -> B\nB -> C\nC -> D,E\n", 3),
+    ("node A\n\nA -> B C\n", 3),
 ])
 def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(ParseError) as exc_info:
         DifferenceGraph.from_edge_list(text)
     assert exc_info.value.line_number == lineno
     assert f"line {lineno}:" in str(exc_info.value)
+
+
+def test_each_distinct_name_is_checked_once(monkeypatch):
+    calls = collections.Counter()
+    check = graphs._check_label
+
+    def counting(name):
+        calls[name] += 1
+        check(name)
+
+    monkeypatch.setattr(graphs, "_check_label", counting)
+    DifferenceGraph(vertices=["A", "B", "A"],
+                    edges=[("A", "B"), ("B", "C"), ("C", "A"), ("A", "B")])
+    assert calls == {"A": 1, "B": 1, "C": 1}
+    calls.clear()
+    # once in the parser, once in the constructor
+    DifferenceGraph.from_edge_list("node A\nA -> B\nB -> C\nC -> A\nnode B\n")
+    assert calls == {"A": 2, "B": 2, "C": 2}
 
 
 def test_sort_vertices_uses_graph_order():

@@ -144,6 +144,23 @@ def test_oracle_direct_null_effect_two_vertices():
     assert v.formula == "alpha(X->Y) = 0"
 
 
+def test_oracle_query_errors_come_from_effect_query():
+    d = DifferenceGraph(vertices=["X", "Y"], edges=[("X", "Y")])
+    for fn in (oracle_total, oracle_direct):
+        for x, y in (("X", "Z"), ("Z", "Y")):
+            with pytest.raises(ValueError, match="unknown vertex 'Z'"):
+                fn(d, x, y)
+        with pytest.raises(ValueError, match="must be distinct"):
+            fn(d, "X", "X")
+    # the cap and the shared-order check still come first
+    big = DifferenceGraph(vertices=[f"V{i}" for i in range(6)])
+    with pytest.raises(ValueError, match="capped at 5"):
+        oracle_total(big, "V0", "Z")
+    cyclic = DifferenceGraph(edges=[("X", "Y"), ("Y", "X")])
+    with pytest.raises(ValueError, match="cyclic"):
+        oracle_direct(cyclic, "X", "X", shared_order=True)
+
+
 def test_oracle_total_null_effect_consistency():
     d = DifferenceGraph(vertices=["X", "Y"], edges=[("X", "Y")])
     v = oracle_total(d, "Y", "X", shared_order=True)

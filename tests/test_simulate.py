@@ -61,6 +61,11 @@ def test_recompute_difference_graph_by_hand():
     assert recompute_difference_graph(scm1, scm2b).edges \
         == {("X", "Y"), ("Y", "Z")}
 
+    g3 = CausalDag(vertices=["X", "Y", "W"], edges=[("Y", "W")])
+    scm3 = LinearScm(g3, coefficients={("Y", "W"): 2.0})
+    with pytest.raises(ValueError, match="different vertex sets"):
+        recompute_difference_graph(scm1, scm3)
+
 
 @pytest.mark.parametrize("gid", sorted(GALLERY))
 def test_sampled_pairs_round_trip_and_respect_the_regime(gid):
