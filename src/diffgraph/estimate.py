@@ -109,7 +109,8 @@ class Dataset:
     @classmethod
     def from_csv(cls, path, kind):
         """Read a dataset from CSV with a header row of unquoted variable
-        names; blank lines are skipped.  Every ValueError names ``path``."""
+        names; empty lines are skipped, and a ``#`` is no comment but a bad
+        cell.  Every ValueError names ``path``."""
         try:
             with open(path, "r", encoding="utf-8-sig") as fh:
                 header = fh.readline().strip()
@@ -122,7 +123,13 @@ class Dataset:
                                          "write names without quotes")
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)
-                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                    try:
+                        data = np.loadtxt(fh, delimiter=",", ndmin=2,
+                                          comments=None)
+                    except ValueError as exc:
+                        fh.seek(0)
+                        fh.readline()
+                        raise ValueError(_first_fault(fh, names) or exc)
             if data.size == 0:
                 raise ValueError("no data rows")
             return cls(names, data, kind)
@@ -134,6 +141,33 @@ class Dataset:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(self.variable_names) + "\n")
             np.savetxt(fh, self.rows, fmt=fmt, delimiter=",")
+
+
+def _reads(line, usecols=None):
+    """Does numpy's CSV reader accept ``line``, or its columns ``usecols``?"""
+    try:
+        np.loadtxt([line], delimiter=",", comments=None, usecols=usecols)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_fault(lines, names):
+    """Why numpy's reader rejected the data ``lines`` of a CSV file whose
+    header holds ``names``: the first row with the wrong number of cells,
+    or the first cell that is no number.  Rows count from 1 among the
+    non-empty lines, which are the ones the reader does not skip."""
+    rows = filter(None, (line.rstrip("\n") for line in lines))
+    for r, line in enumerate(rows, start=1):
+        cells = line.split(",")
+        if len(cells) != len(names):
+            return (f"row {r} has {len(cells)} cells but the header has "
+                    f"{len(names)} names")
+        if not _reads(line):
+            c = next(c for c in range(len(names)) if not _reads(line, c))
+            return (f"row {r}, column {names[c]!r}: {cells[c]!r} is not "
+                    "a number")
+    return None
 
 
 def _first_cell(names, bad):
@@ -161,7 +195,7 @@ class InterventionalTable:
             raise ValueError("probability matrix shape does not match the "
                              "value grids")
         sums = p.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE):
+        if not np.all(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE):
             raise ValueError(f"rows must sum to 1, got {sums}")
         self.probabilities = p
 
@@ -222,7 +256,7 @@ _NEEDS = {DISCRETE: "the adjustment formula needs discrete data",
 def _checked_inputs(data, kind, x, y, w, laplace=None):
     """Check that ``data`` is of ``kind`` and holds x, y and the members of
     ``w``, distinct from each other, and that ``laplace``, when given, is
-    positive; returns ``w`` as a tuple."""
+    positive and finite; returns ``w`` as a tuple."""
     if data.kind != kind:
         raise ValueError(_NEEDS[kind])
     w = tuple(w)
@@ -234,8 +268,8 @@ def _checked_inputs(data, kind, x, y, w, laplace=None):
     for v in (x, y) + w:
         if v not in data.variable_names:
             raise KeyError(f"unknown variable {v!r}")
-    if laplace is not None and laplace <= 0:
-        raise ValueError("laplace smoothing must be positive")
+    if laplace is not None and not 0 < laplace < np.inf:
+        raise ValueError("laplace smoothing must be positive and finite")
     return w
 
 
@@ -337,11 +371,11 @@ def estimate_effect(verdict, data, x, y, laplace=None,
     A total effect is a table of P(y|do(x)) from discrete data: the outcome
     marginal when the effect is null (:func:`marginal_table`), otherwise the
     adjustment formula (:func:`adjustment_total`); only the latter smooths
-    with ``laplace``, but both reject a non-positive value.  A direct effect
-    is a float from continuous data: 0.0 when null, otherwise the partial
-    regression coefficient, which takes no ``laplace``.  The data kind and
-    the columns are checked for every verdict; a NotIdentifiable verdict
-    raises ValueError.
+    with ``laplace``, but both reject one that is not positive and finite.
+    A direct effect is a float from continuous data: 0.0 when null,
+    otherwise the partial regression coefficient, which takes no
+    ``laplace``.  The data kind and the columns are checked for every
+    verdict; a NotIdentifiable verdict raises ValueError.
     """
     if verdict.kind == NOT_IDENTIFIABLE:
         raise ValueError("verdict is NotIdentifiable; nothing to estimate")

@@ -17,9 +17,8 @@ whole point: the two must agree wherever the conditions are correct.
 
 Enumeration is exponential and capped at 5 vertices.  Internally vertices
 are 0..n-1, a vertex set is an int bitmask, and a digraph is an int edge
-mask over the ordered pairs of :func:`_pairs` (row-major, so bits
-k*(n-1) .. (k+1)*(n-1)-1 hold the out-edges of vertex k).  A query builds
-no :class:`CausalDag` except the two of a NotIdentifiable witness:
+mask whose bit i*n + j holds the edge i -> j.  A query builds no
+:class:`CausalDag` except the two of a NotIdentifiable witness:
 
 * Every DAG on n vertices is enumerated once per n with numpy (each
   permutation times every subset of its forward pairs, deduplicated).
@@ -72,26 +71,15 @@ MASK_MEMO_SIZE = 1 << 15
 # bitmask internals
 
 
-@lru_cache(maxsize=VERTEX_CAP + 1)
-def _pairs(n):
-    return tuple((i, j) for i in range(n) for j in range(n) if i != j)
-
-
-@lru_cache(maxsize=VERTEX_CAP + 1)
-def _pair_bit(n):
-    return {pair: 1 << k for k, pair in enumerate(_pairs(n))}
-
-
 def _mask_of(n, index_edges):
-    bit = _pair_bit(n)
     mask = 0
-    for e in index_edges:
-        mask |= bit[e]
+    for i, j in index_edges:
+        mask |= 1 << (i * n + j)
     return mask
 
 
 def _edges_of(n, mask):
-    return [pair for k, pair in enumerate(_pairs(n)) if mask >> k & 1]
+    return [divmod(k, n) for k in range(n * n) if mask >> k & 1]
 
 
 def _dag_from_mask(names, mask):
@@ -100,11 +88,9 @@ def _dag_from_mask(names, mask):
 
 
 def _children(n, mask, v):
-    """Children of v as a vertex bitmask: v's row of the mask with a zero
-    bit put back at position v.  Works elementwise on an int array too."""
-    row = mask >> (v * (n - 1)) & ((1 << (n - 1)) - 1)
-    below = (1 << v) - 1
-    return row & below | (row & ~below) << 1
+    """Children of v as a vertex bitmask: row v of the edge mask.  Works
+    elementwise on an int array too."""
+    return mask >> (v * n) & ((1 << n) - 1)
 
 
 def _acyclic(n, masks):
@@ -135,12 +121,11 @@ def _all_dag_masks(n):
     hits each DAG once per linear extension; ``np.unique`` dedupes and
     sorts.
     """
-    bit = _pair_bit(n)
     forward = [(i, j) for i in range(n) for j in range(i + 1, n)]
     m = len(forward)
     picks = np.arange(1 << m)[:, None] >> np.arange(m) & 1
-    masks = [picks @ np.array([bit[(perm[i], perm[j])] for i, j in forward],
-                              dtype=np.int64)
+    masks = [picks @ np.array([1 << (perm[i] * n + perm[j])
+                               for i, j in forward], dtype=np.int64)
              for perm in itertools.permutations(range(n))]
     masks = np.unique(np.concatenate(masks))
     masks.flags.writeable = False
@@ -148,11 +133,10 @@ def _all_dag_masks(n):
 
 
 def _parent_bits(n, mask):
-    pairs = _pairs(n)
     parents = [0] * n
     while mask:
         low = mask & -mask
-        i, j = pairs[low.bit_length() - 1]
+        i, j = divmod(low.bit_length() - 1, n)
         parents[j] |= 1 << i
         mask ^= low
     return parents
@@ -173,12 +157,13 @@ def _descendant_bits(n, mask, v):
 
 
 @lru_cache(maxsize=MASK_MEMO_SIZE)
-def _admissible_w_bits(n, mask, x, y, criterion):
-    """The family of sets W passing the criterion for (x, y) in the DAG
-    ``mask``, as an int whose bit w is set iff the vertex set with bitmask
-    w passes (W ranges over subsets of V minus {x, y})."""
+def _admissible_w_bits(n, mask, x, y, effect):
+    """The family of sets W passing the effect's criterion (back-door for
+    TOTAL, single-door for DIRECT) for (x, y) in the DAG ``mask``, as an int
+    whose bit w is set iff the vertex set with bitmask w passes (W ranges
+    over subsets of V minus {x, y})."""
     parents = _parent_bits(n, mask)
-    if criterion == "back-door":
+    if effect == TOTAL:
         pivot = x
         parents = [p & ~(1 << x) for p in parents]
     else:
@@ -307,23 +292,22 @@ def enumerate_compatible_dags(d, shared_order=False):
                  for mask in _compatible_masks(n, d_mask, shared_order))
 
 
-def _oracle(d, x, y, shared_order, criterion):
+def _oracle(d, x, y, shared_order, effect):
     n, index, d_mask = _checked_setup(d, shared_order)
     EffectQuery(d, x, y)  # _checked_setup has checked the shared order
     xi, yi = index[x], index[y]
-    effect = TOTAL if criterion == "back-door" else DIRECT
     masks = _compatible_masks(n, d_mask, shared_order)
 
-    if criterion == "back-door":
+    if effect == TOTAL:
         never_effect = all(
             not _descendant_bits(n, m, xi) >> yi & 1 for m in masks)
     else:
-        edge_bit = _pair_bit(n)[(xi, yi)]
+        edge_bit = 1 << (xi * n + yi)
         never_effect = all(not m & edge_bit for m in masks)
     if never_effect:
         return _verdict(effect, NULL_EFFECT, x, y)
 
-    families = [_admissible_w_bits(n, m, xi, yi, criterion) for m in masks]
+    families = [_admissible_w_bits(n, m, xi, yi, effect) for m in masks]
     common = -1
     for fam in families:
         common &= fam
@@ -355,11 +339,11 @@ def oracle_total(d, x, y, shared_order=False):
     otherwise NotIdentifiable, with a witness pair of compatible DAGs whose
     admissible-set families are disjoint.
     """
-    return _oracle(d, x, y, shared_order, "back-door")
+    return _oracle(d, x, y, shared_order, TOTAL)
 
 
 def oracle_direct(d, x, y, shared_order=False):
     """Brute-force direct-effect verdict, single-door version of
     :func:`oracle_total`.  NullEffect when x is a parent of y in no
     compatible DAG."""
-    return _oracle(d, x, y, shared_order, "single-door")
+    return _oracle(d, x, y, shared_order, DIRECT)

@@ -26,7 +26,7 @@ from .oracle import (
     _checked_setup,
     _compatible_masks,
     _dag_from_mask,
-    _pair_bit,
+    _mask_of,
 )
 
 GAUSSIAN = "gaussian"
@@ -115,21 +115,20 @@ def _draw_coefficient(rng):
     return magnitude if rng.random() < 0.5 else -magnitude
 
 
-def _partner_masks(d, g1_mask, shared_order):
+def _partner_masks(d, index, d_mask, g1_mask, shared_order):
     """Edge masks of every DAG forming a compatible pair with the DAG
-    ``g1_mask`` under ``d`` (vertex indices in ``d``'s order).
+    ``g1_mask`` under ``d``, whose edge mask is ``d_mask`` (vertex indices
+    from ``index``).
 
     A partner must contain the symmetric difference of g1 and the D-edges
     and may add any subset of the D-edges g1 already has (same edge, two
     coefficients).  Deterministic order: by subset size, then the D-edges'
     name order.
     """
-    n = len(d.vertices)
-    index = {v: i for i, v in enumerate(d.vertices)}
-    bit = _pair_bit(n)
-    d_bits = [bit[(index[t], index[h])] for t, h in sorted(d.edges)]
+    n = len(index)
+    d_bits = [_mask_of(n, [(index[t], index[h])]) for t, h in sorted(d.edges)]
     optional = [b for b in d_bits if g1_mask & b]
-    base = g1_mask ^ sum(d_bits)
+    base = g1_mask ^ d_mask
     candidates = np.array(
         [base | sum(extra) for r in range(len(optional) + 1)
          for extra in itertools.combinations(optional, r)], dtype=np.int64)
@@ -193,10 +192,10 @@ def sample_compatible_pair(d, shared_order=False, seed=0):
     """
     rng = np.random.default_rng(seed)
     if len(d.vertices) <= VERTEX_CAP:
-        n, _, d_mask = _checked_setup(d, shared_order)
+        n, index, d_mask = _checked_setup(d, shared_order)
         candidates = _compatible_masks(n, d_mask, shared_order)
         g1_mask = candidates[int(rng.integers(len(candidates)))]
-        partners = _partner_masks(d, g1_mask, shared_order)
+        partners = _partner_masks(d, index, d_mask, g1_mask, shared_order)
         g2_mask = partners[int(rng.integers(len(partners)))]
         g1 = _dag_from_mask(d.vertices, g1_mask)
         g2 = _dag_from_mask(d.vertices, g2_mask)

@@ -204,6 +204,21 @@ def test_total_null_effect_rejects_a_nonpositive_laplace(graph_1h, tmp_path,
         assert "laplace smoothing must be positive" in captured.err
 
 
+def test_total_effects_reject_a_non_finite_laplace(tmp_path, capsys):
+    graph = tmp_path / "chain.txt"
+    graph.write_text("W1 -> X\nX -> Y\n")
+    csv = tmp_path / "d.csv"
+    csv.write_text("W1,X,Y\n0,0,1\n1,1,0\n0,1,1\n1,0,0\n")
+    for laplace in ("nan", "inf"):
+        assert main(["estimate-total", "--graph", str(graph), "--exposure",
+                     "X", "--outcome", "Y", "--data1", str(csv),
+                     "--shared-order", "--laplace", laplace]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "laplace smoothing must be positive and finite" \
+            in captured.err
+
+
 def test_change_not_identifiable_exits_2(graph_1m, tmp_path, capsys):
     csv = tmp_path / "d.csv"
     _write_discrete(csv, 2, n=200)

@@ -97,7 +97,14 @@ def test_from_csv_rejects_junk(tmp_path):
             ("X,Y\n0,1\n\n1,nan\n", "non-finite cell at row 2, column 'Y'"),
             ("X,Y\n0,1\n1.5,0\n", "got 1.5 at row 2, column 'X'"),
             ("X,,Y\n0,1,1\n", "variable names must be non-empty"),
-            ("X,X\n0,1\n", "duplicate variable name 'X'")):
+            ("X,X\n0,1\n", "duplicate variable name 'X'"),
+            # a '#' starts no comment
+            ("X,Y\n1,2\n3,4#junk\n#5,6\n",
+             "row 2, column 'Y': '4#junk' is not a number"),
+            ("X,Y\n0,1\n\n1\n",
+             "row 2 has 1 cells but the header has 2 names"),
+            ("X,Y\n0,\n", "row 1, column 'Y': '' is not a number"),
+            ("X,Y\n0,1_0\n", "row 1, column 'Y': '1_0' is not a number")):
         path = tmp_path / "bad.csv"
         path.write_text(body)
         with pytest.raises(ValueError) as exc_info:
@@ -161,8 +168,8 @@ def test_from_csv_bad_input_names_file_and_place(tmp_path_factory, table,
         row = data.draw(st.integers(0, len(rows) - 1))
         rows = [list(r) for r in rows]
         rows[row][col] = "abc"
-        # numpy's reader counts rows from 0 and columns from 1
-        expected = ["'abc'", f"row {row}, column {col + 1}"]
+        expected = [f"row {row + 1}, column {names[col]!r}: 'abc' is not "
+                    "a number"]
     path.write_text(_csv_text(names, rows))
     with pytest.raises(ValueError) as exc_info:
         Dataset.from_csv(path, DISCRETE)
@@ -256,8 +263,9 @@ def test_laplace_smoothing_fills_empty_cells():
     assert np.allclose(table.probabilities.sum(axis=1), 1.0)
     # the unobserved (w=1, x=1) cell falls back to the uniform prior
     assert table.probabilities[1][0] > 0
-    with pytest.raises(ValueError, match="positive"):
-        adjustment_total(data, "x", "y", ("w",), laplace=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            adjustment_total(data, "x", "y", ("w",), laplace=bad)
 
 
 def test_requested_level_grid_extends_the_table():
@@ -487,7 +495,7 @@ def test_null_total_verdicts_check_laplace():
         EffectQuery(DG_1H, "Y", "X", shared_order_assumed=True))
     assert null_total.kind == "NullEffect"
     disc = _gallery_discrete(6, n=200)
-    for bad in (0, -1.0):
+    for bad in (0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="laplace smoothing must be"):
             estimate_effect(null_total, disc, "Y", "X", laplace=bad)
         with pytest.raises(ValueError, match="laplace smoothing must be"):
@@ -532,6 +540,9 @@ def test_interventional_table_validation():
     with pytest.raises(ValueError, match="sum to 1"):
         InterventionalTable((0, 1), (0, 1),
                             np.array([[0.5, 0.4], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        InterventionalTable((0, 1), (0, 1),
+                            np.array([[np.nan, np.nan], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="shape"):
         InterventionalTable((0, 1), (0, 1), np.array([[1.0]]))
 

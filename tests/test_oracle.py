@@ -3,13 +3,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from diffgraph import oracle
 from diffgraph import (
     ADJUSTMENT_IDENTIFIABLE,
+    DIRECT,
     NOT_IDENTIFIABLE,
     NULL_EFFECT,
+    TOTAL,
     CausalDag,
     DifferenceGraph,
     back_door_admissible,
@@ -307,6 +310,18 @@ def test_not_identifiable_as_dict_includes_witness_edge_lists():
     assert "witness" not in ok
 
 
+def test_witnesses_are_the_first_disjoint_pair_in_mask_order():
+    # pinned text: a change of the edge-mask layout must not reorder masks
+    names = "node W1\nnode X\nnode W2\nnode Y\n"
+    shared = oracle_total(DG_1M, "X", "Y", shared_order=True).as_dict()
+    assert shared["witness"] == [names + "X -> W2\n",
+                                 names + "W2 -> X\nW2 -> Y\n"]
+    general = oracle_total(DG_2F, "X", "Y").as_dict()
+    assert general["witness"] == [
+        names + "W1 -> X\nW1 -> W2\nW2 -> Y\n",
+        names + "X -> W2\nX -> Y\nW2 -> W1\nW2 -> Y\n"]
+
+
 def test_all_dag_masks_lists_every_dag_once_in_ascending_order():
     # labeled DAGs on n vertices: OEIS A003024
     for n, count in zip(range(1, 6), (1, 3, 25, 543, 29_281)):
@@ -318,6 +333,31 @@ def test_all_dag_masks_lists_every_dag_once_in_ascending_order():
             edges = [(names[i], names[j])
                      for i, j in oracle._edges_of(n, mask)]
             assert DifferenceGraph(vertices=names, edges=edges).is_acyclic()
+
+
+def test_all_dag_masks_sort_by_edges_from_the_highest_pair_down():
+    # the order of edge indicators read from the highest (i, j) pair down,
+    # which holds for any layout whose bit position grows with (i, j)
+    for n in range(1, 5):
+        pairs = sorted(itertools.permutations(range(n), 2), reverse=True)
+        keys = []
+        for mask in oracle._all_dag_masks(n).tolist():
+            edges = set(oracle._edges_of(n, mask))
+            keys.append(tuple(p in edges for p in pairs))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_children_of_a_mask_array_match_each_mask():
+    for n in range(1, 5):
+        pairs = list(itertools.permutations(range(n), 2))
+        masks = [oracle._mask_of(n, itertools.compress(pairs, picks))
+                 for picks in itertools.product((0, 1), repeat=len(pairs))]
+        array = np.array(masks, dtype=np.int64)
+        for v in range(n):
+            want = [sum(1 << j for i, j in oracle._edges_of(n, m) if i == v)
+                    for m in masks]
+            assert [oracle._children(n, m, v) for m in masks] == want
+            assert oracle._children(n, array, v).tolist() == want
 
 
 def _family_as_sets(names, family):
@@ -340,12 +380,11 @@ def test_admissible_families_match_the_graph_criteria(n):
     for g in all_dags(names):
         mask = _dag_mask(g)
         for x, y in itertools.permutations(range(n), 2):
-            for criterion, accepts in (("back-door", back_door_admissible),
-                                       ("single-door",
-                                        single_door_admissible)):
-                family = oracle._admissible_w_bits(n, mask, x, y, criterion)
+            for effect, accepts in ((TOTAL, back_door_admissible),
+                                    (DIRECT, single_door_admissible)):
+                family = oracle._admissible_w_bits(n, mask, x, y, effect)
                 assert _family_as_sets(names, family) == _admissible_family(
-                    g, names[x], names[y], accepts), (g, x, y, criterion)
+                    g, names[x], names[y], accepts), (g, x, y, effect)
 
 
 def test_admissible_families_match_networkx_d_separation():
@@ -353,11 +392,10 @@ def test_admissible_families_match_networkx_d_separation():
     names = ("A", "B", "C", "D")
     for g in all_dags(names):
         mask = _dag_mask(g)
-        for (xi, yi), criterion in itertools.product(
-                itertools.permutations(range(4), 2),
-                ("back-door", "single-door")):
+        for (xi, yi), effect in itertools.product(
+                itertools.permutations(range(4), 2), (TOTAL, DIRECT)):
             x, y = names[xi], names[yi]
-            if criterion == "back-door":
+            if effect == TOTAL:
                 pivot, cut = x, [e for e in g.edges if e[0] != x]
             else:
                 pivot, cut = y, g.edges - {(x, y)}
@@ -371,7 +409,7 @@ def test_admissible_families_match_networkx_d_separation():
                 for w in itertools.combinations(rest, r)
                 if not forbidden & set(w)
                 and nx.is_d_separator(h, {x}, {y}, set(w))}
-            family = oracle._admissible_w_bits(4, mask, xi, yi, criterion)
+            family = oracle._admissible_w_bits(4, mask, xi, yi, effect)
             assert _family_as_sets(names, family) == expected, (g, x, y)
 
 
