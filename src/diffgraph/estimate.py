@@ -126,6 +126,9 @@ class Dataset:
                     try:
                         data = np.loadtxt(fh, delimiter=",", ndmin=2,
                                           comments=None)
+                        if data.size and data.shape[1] != len(names):
+                            raise ValueError("rows and header differ in "
+                                             "width")
                     except ValueError as exc:
                         fh.seek(0)
                         fh.readline()

@@ -25,19 +25,23 @@ mask whose bit i*n + j holds the edge i -> j.  A query builds no
 * A digraph is acyclic iff it has no walk of n edges (A^n = 0); the test
   runs on all masks at once.  A DAG G is compatible with D when G xor D
   (G or D under a shared order) passes it.
-* d-separation of X and Y by W is decided on parent bitmasks through the
+* d-separation of X and Y by W is decided on parent bitmasks, for every
+  compatible DAG and every candidate W at once, through the
   moralised ancestral graph (Lauritzen et al. 1990): X and Y are separated
   iff they are disconnected in the moral graph of the ancestors of
   {X, Y} and W once W is removed.  Back-door admissibility cuts the edges
   out of X, single-door admissibility the edge X -> Y, and W must avoid
   the strict descendants of X (back-door) or Y (single-door).
 
-Memos are functools caches with fixed sizes, so a long sweep keeps bounded
-memory: the DAG enumeration per n, the compatible masks of the last
-COMPATIBLE_MEMO_SIZE difference graphs, and, per DAG mask, the descendant
-sets and admissible-set families of the last MASK_MEMO_SIZE lookups each.
-A repeated query on a difference graph still in the memo is answered from
-it without new graph work.
+Memos are functools caches whose sizes are bounded, so a long sweep keeps
+bounded memory: the DAG enumeration per n, the compatible masks of the
+last COMPATIBLE_MEMO_SIZE difference graphs as int64 arrays, and one
+family table per (n, X, Y, effect), with a slot per DAG of the
+enumeration.  There are 80 such keys up to the cap, so the tables never
+evict and take at most 9.4 MB.  A query computes the families only of its
+compatible DAGs whose slots are still empty, in one array call; a
+repeated query on a difference graph still in the memo does no new graph
+work.
 """
 
 import itertools
@@ -59,12 +63,8 @@ from .identify import (
 
 VERTEX_CAP = 5
 # A 5-vertex difference graph has at most 29,281 compatible DAGs (all of
-# them, for the empty graph), about 1.05 MB of memo as a tuple of ints.
+# them, for the empty graph), 234 KB of memo as an int64 array.
 COMPATIBLE_MEMO_SIZE = 32
-# Per-mask memos, each about 6 MB when full.  One cold and one warm pass of
-# the benchmark's verdict-sweep leave at most 9,570 entries in the largest
-# of them, so its warm passes hit.
-MASK_MEMO_SIZE = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -132,79 +132,55 @@ def _all_dag_masks(n):
     return masks
 
 
-def _parent_bits(n, mask):
-    parents = [0] * n
-    while mask:
-        low = mask & -mask
-        i, j = divmod(low.bit_length() - 1, n)
-        parents[j] |= 1 << i
-        mask ^= low
-    return parents
-
-
-@lru_cache(maxsize=MASK_MEMO_SIZE)
-def _descendant_bits(n, mask, v):
-    """Reflexive descendants of v in the DAG ``mask``, as a vertex bitmask."""
-    seen = frontier = 1 << v
-    while frontier:
-        reached = 0
-        for u in range(n):
-            if frontier >> u & 1:
-                reached |= _children(n, mask, u)
-        frontier = reached & ~seen
-        seen |= frontier
+def _descendants(n, masks, v):
+    """Reflexive descendants of v in every DAG of ``masks`` (an int64 array
+    of edge masks), as an array of vertex bitmasks."""
+    children = [_children(n, masks, u) for u in range(n)]
+    seen = np.full(len(masks), 1 << v, dtype=np.int64)
+    for _ in range(n - 1):
+        for u, kids in enumerate(children):
+            seen |= -(seen >> u & 1) & kids
     return seen
 
 
-@lru_cache(maxsize=MASK_MEMO_SIZE)
-def _admissible_w_bits(n, mask, x, y, effect):
+def _admissible_families(n, masks, x, y, effect):
     """The family of sets W passing the effect's criterion (back-door for
-    TOTAL, single-door for DIRECT) for (x, y) in the DAG ``mask``, as an int
-    whose bit w is set iff the vertex set with bitmask w passes (W ranges
-    over subsets of V minus {x, y})."""
-    parents = _parent_bits(n, mask)
+    TOTAL, single-door for DIRECT) for (x, y) in every DAG of ``masks``, as
+    an int64 array whose entry k has bit w set iff the vertex set with
+    bitmask w passes in DAG k.  W ranges over subsets of V minus {x, y},
+    so w is at most 2^n - 4 and bit w fits an int64 up to n = 6."""
     if effect == TOTAL:
-        pivot = x
-        parents = [p & ~(1 << x) for p in parents]
+        pivot, cut = x, masks & ~(((1 << n) - 1) << (x * n))
     else:
-        pivot = y
-        parents[y] &= ~(1 << x)
+        pivot, cut = y, masks & ~(1 << (x * n + y))
+    children = [_children(n, cut, u) for u in range(n)]
+    # the moral graph joins the members of each vertex's family pairwise
+    families = [sum((kids >> v & 1) << u for u, kids in enumerate(children))
+                | 1 << v for v in range(n)]
     # ancestors in the cut graph (reflexive closure, Warshall on bitmasks)
-    ancestors = [p | 1 << v for v, p in enumerate(parents)]
+    ancestors = [f.copy() for f in families]
     for k in range(n):
         for v in range(n):
-            if ancestors[v] >> k & 1:
-                ancestors[v] |= ancestors[k]
-    # the moral graph joins the members of each vertex's family pairwise
-    families = [p | 1 << v for v, p in enumerate(parents)]
-    # W may not hold x, y or a strict descendant of the pivot; the loop
-    # steps w through every subset of pool, in increasing order
-    pool = ((1 << n) - 1) & ~(1 << x | 1 << y) \
-        & ~_descendant_bits(n, mask, pivot)
-    ends = ancestors[x] | ancestors[y]
-    found = 0
-    w = 0
-    while True:
-        ancestral = ends
-        for v in range(n):
-            if w >> v & 1:
-                ancestral |= ancestors[v]
-        allowed = ancestral & ~w
-        joins = [f & allowed for v, f in enumerate(families)
-                 if ancestral >> v & 1]
-        reach = 1 << x
-        grown = True
-        while grown and not reach >> y & 1:
-            grown = False
-            for joined in joins:
-                if joined & reach and joined & ~reach:
-                    reach |= joined
-                    grown = True
-        if not reach >> y & 1:
-            found |= 1 << w
-        if w == pool:
-            return found
-        w = (w - pool) & pool
+            ancestors[v] |= -(ancestors[v] >> k & 1) & ancestors[k]
+    # W may not hold x, y or a strict descendant of the pivot; column j of
+    # each (DAG, W) array below stands for the j-th candidate W
+    ws = np.array([w for w in range(1 << n) if not w & (1 << x | 1 << y)],
+                  dtype=np.int64)
+    forbidden = _descendants(n, masks, pivot)[:, None]
+    ancestral = (ancestors[x] | ancestors[y])[:, None] | ws
+    for v in range(n):
+        ancestral |= -(ws >> v & 1) & ancestors[v][:, None]
+    allowed = ancestral & ~ws
+    joins = [-(ancestral >> v & 1) & f[:, None] & allowed
+             for v, f in enumerate(families)]
+    # a separating W leaves y out of x's component; n - 1 sweeps over the
+    # joins reach every vertex of that component
+    reach = np.full(ancestral.shape, 1 << x, dtype=np.int64)
+    for _ in range(n - 1):
+        for joined in joins:
+            reach |= np.where(joined & reach, joined, 0)
+    passes = (reach >> y & 1 == 0) & (ws & forbidden == 0)
+    return np.bitwise_or.reduce(np.where(passes, 1 << ws, 0), axis=1)
 
 
 def _subset_order_key(n):
@@ -267,7 +243,8 @@ def _checked_setup(d, shared_order):
 
 @lru_cache(maxsize=COMPATIBLE_MEMO_SIZE)
 def _compatible_masks(n, d_mask, shared_order):
-    """Masks of every DAG appearing in some compatible pair, ascending.
+    """Masks of every DAG appearing in some compatible pair, as an
+    ascending read-only int64 array.
 
     A DAG G has a compatible partner exactly when its minimal partner, the
     symmetric difference G xor D, is itself a DAG (adding optional shared
@@ -277,7 +254,22 @@ def _compatible_masks(n, d_mask, shared_order):
     """
     masks = _all_dag_masks(n)
     combined = masks | d_mask if shared_order else masks ^ d_mask
-    return tuple(masks[_acyclic(n, combined)].tolist())
+    compatible = masks[_acyclic(n, combined)]
+    compatible.flags.writeable = False
+    return compatible
+
+
+@lru_cache(maxsize=2 * sum(n * (n - 1) for n in range(VERTEX_CAP + 1)))
+def _family_table(n, x, y, effect):
+    """The admissible-set family of each DAG of ``_all_dag_masks(n)`` for
+    (x, y) and the effect, slot k for mask k; -1 marks a slot no query has
+    needed yet.  Queries fill the slots in place.
+
+    The memo holds one table per (n, ordered pair, effect) up to the cap,
+    so it never evicts and its size is bounded by construction: at most
+    9.4 MB, 40 tables of 29,281 int64 slots at n = 5.
+    """
+    return np.full(len(_all_dag_masks(n)), -1, dtype=np.int64)
 
 
 def enumerate_compatible_dags(d, shared_order=False):
@@ -288,8 +280,8 @@ def enumerate_compatible_dags(d, shared_order=False):
     mode when ``d`` is cyclic (no compatible pair exists at all).
     """
     n, _, d_mask = _checked_setup(d, shared_order)
-    return tuple(_dag_from_mask(d.vertices, mask)
-                 for mask in _compatible_masks(n, d_mask, shared_order))
+    masks = _compatible_masks(n, d_mask, shared_order).tolist()
+    return tuple(_dag_from_mask(d.vertices, mask) for mask in masks)
 
 
 def _oracle(d, x, y, shared_order, effect):
@@ -299,32 +291,33 @@ def _oracle(d, x, y, shared_order, effect):
     masks = _compatible_masks(n, d_mask, shared_order)
 
     if effect == TOTAL:
-        never_effect = all(
-            not _descendant_bits(n, m, xi) >> yi & 1 for m in masks)
+        never_effect = not np.any(_descendants(n, masks, xi) >> yi & 1)
     else:
-        edge_bit = 1 << (xi * n + yi)
-        never_effect = all(not m & edge_bit for m in masks)
+        never_effect = not np.any(masks & 1 << (xi * n + yi))
     if never_effect:
         return _verdict(effect, NULL_EFFECT, x, y)
 
-    families = [_admissible_w_bits(n, m, xi, yi, effect) for m in masks]
-    common = -1
-    for fam in families:
-        common &= fam
-        if not common:
-            break
+    table = _family_table(n, xi, yi, effect)
+    slots = np.searchsorted(_all_dag_masks(n), masks)
+    families = table[slots]
+    todo = families < 0
+    if todo.any():
+        families[todo] = table[slots[todo]] = _admissible_families(
+            n, masks[todo], xi, yi, effect)
+    common = int(np.bitwise_and.reduce(families))
     if common:
         wbits = min((w for w in range(1 << n) if common >> w & 1),
                     key=_subset_order_key(n))
         w = tuple(d.vertices[v] for v in range(n) if wbits >> v & 1)
         return _verdict(effect, ADJUSTMENT_IDENTIFIABLE, x, y, w=w)
 
+    # the first pair (i, j), i < j, whose families are disjoint
     witness = None
-    for (i, fam_i), (j, fam_j) in itertools.combinations(
-            enumerate(families), 2):
-        if not fam_i & fam_j:
-            witness = (_dag_from_mask(d.vertices, masks[i]),
-                       _dag_from_mask(d.vertices, masks[j]))
+    for i in range(len(families) - 1):
+        hits = np.flatnonzero(families[i + 1:] & families[i] == 0)
+        if hits.size:
+            witness = tuple(_dag_from_mask(d.vertices, int(masks[k]))
+                            for k in (i, i + 1 + hits[0]))
             break
     return IdentificationVerdict(kind=NOT_IDENTIFIABLE, witness=witness,
                                  effect=effect)

@@ -194,7 +194,7 @@ def sample_compatible_pair(d, shared_order=False, seed=0):
     if len(d.vertices) <= VERTEX_CAP:
         n, index, d_mask = _checked_setup(d, shared_order)
         candidates = _compatible_masks(n, d_mask, shared_order)
-        g1_mask = candidates[int(rng.integers(len(candidates)))]
+        g1_mask = int(candidates[rng.integers(len(candidates))])
         partners = _partner_masks(d, index, d_mask, g1_mask, shared_order)
         g2_mask = partners[int(rng.integers(len(partners)))]
         g1 = _dag_from_mask(d.vertices, g1_mask)

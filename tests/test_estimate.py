@@ -103,6 +103,9 @@ def test_from_csv_rejects_junk(tmp_path):
              "row 2, column 'Y': '4#junk' is not a number"),
             ("X,Y\n0,1\n\n1\n",
              "row 2 has 1 cells but the header has 2 names"),
+            # every row equally wide, but not as wide as the header
+            ("X,Y\n1,2,3\n", "row 1 has 3 cells but the header has 2 names"),
+            ("X,Y\n1,2\n3\n", "row 2 has 1 cells but the header has 2 names"),
             ("X,Y\n0,\n", "row 1, column 'Y': '' is not a number"),
             ("X,Y\n0,1_0\n", "row 1, column 'Y': '1_0' is not a number")):
         path = tmp_path / "bad.csv"
@@ -162,8 +165,8 @@ def test_from_csv_bad_input_names_file_and_place(tmp_path_factory, table,
     elif fault == "mismatch":
         extra = data.draw(st.integers(1, 2))
         rows = [r + [0] * extra for r in rows]
-        expected = [f"{len(names)} variable names but "
-                    f"{len(names) + extra} columns per row"]
+        expected = [f"row 1 has {len(names) + extra} cells but the header "
+                    f"has {len(names)} names"]
     else:
         row = data.draw(st.integers(0, len(rows) - 1))
         rows = [list(r) for r in rows]

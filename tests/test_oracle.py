@@ -374,15 +374,17 @@ def _dag_mask(g):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_admissible_families_match_the_graph_criteria(n):
-    """The oracle's bitmask families equal the sets the public criteria,
-    which d-separate on CausalDag objects, accept."""
+    """The oracle's bitmask families, computed for every DAG at once, equal
+    the sets the public criteria, which d-separate on CausalDag objects,
+    accept."""
     names = ("A", "B", "C", "D")[:n]
-    for g in all_dags(names):
-        mask = _dag_mask(g)
-        for x, y in itertools.permutations(range(n), 2):
-            for effect, accepts in ((TOTAL, back_door_admissible),
-                                    (DIRECT, single_door_admissible)):
-                family = oracle._admissible_w_bits(n, mask, x, y, effect)
+    dags = all_dags(names)
+    masks = np.array([_dag_mask(g) for g in dags], dtype=np.int64)
+    for x, y in itertools.permutations(range(n), 2):
+        for effect, accepts in ((TOTAL, back_door_admissible),
+                                (DIRECT, single_door_admissible)):
+            families = oracle._admissible_families(n, masks, x, y, effect)
+            for g, family in zip(dags, families.tolist(), strict=True):
                 assert _family_as_sets(names, family) == _admissible_family(
                     g, names[x], names[y], accepts), (g, x, y, effect)
 
@@ -390,11 +392,13 @@ def test_admissible_families_match_the_graph_criteria(n):
 def test_admissible_families_match_networkx_d_separation():
     nx = pytest.importorskip("networkx")
     names = ("A", "B", "C", "D")
-    for g in all_dags(names):
-        mask = _dag_mask(g)
-        for (xi, yi), effect in itertools.product(
-                itertools.permutations(range(4), 2), (TOTAL, DIRECT)):
-            x, y = names[xi], names[yi]
+    dags = all_dags(names)
+    masks = np.array([_dag_mask(g) for g in dags], dtype=np.int64)
+    for (xi, yi), effect in itertools.product(
+            itertools.permutations(range(4), 2), (TOTAL, DIRECT)):
+        x, y = names[xi], names[yi]
+        families = oracle._admissible_families(4, masks, xi, yi, effect)
+        for g, family in zip(dags, families.tolist(), strict=True):
             if effect == TOTAL:
                 pivot, cut = x, [e for e in g.edges if e[0] != x]
             else:
@@ -409,7 +413,6 @@ def test_admissible_families_match_networkx_d_separation():
                 for w in itertools.combinations(rest, r)
                 if not forbidden & set(w)
                 and nx.is_d_separator(h, {x}, {y}, set(w))}
-            family = oracle._admissible_w_bits(4, mask, xi, yi, effect)
             assert _family_as_sets(names, family) == expected, (g, x, y)
 
 
@@ -430,7 +433,7 @@ def test_oracle_memos_stay_bounded():
         oracle_total(d, "A", "D")
         oracle_direct(d, "A", "D")
     # every one of the 29,281 DAGs is compatible with the empty 5-vertex
-    # difference graph, so two queries overflow the per-mask memos
+    # difference graph, so two queries fill two whole family tables
     empty = DifferenceGraph(vertices=["A", "B", "C", "D", "E"])
     oracle_total(empty, "A", "B")
     oracle_direct(empty, "A", "B")
@@ -438,7 +441,35 @@ def test_oracle_memos_stay_bounded():
         info = memo.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize
-    assert oracle._admissible_w_bits.cache_info().currsize \
-        == oracle.MASK_MEMO_SIZE
     assert oracle._compatible_masks.cache_info().currsize \
         == oracle.COMPATIBLE_MEMO_SIZE
+    # one table per key, so the table memo never evicts
+    keys = [(n, x, y, effect)
+            for n in range(oracle.VERTEX_CAP + 1)
+            for x, y in itertools.permutations(range(n), 2)
+            for effect in (TOTAL, DIRECT)]
+    assert oracle._family_table.cache_info().maxsize == len(keys)
+    for effect in (TOTAL, DIRECT):
+        assert (oracle._family_table(5, 0, 1, effect) >= 0).all()
+
+
+def test_families_a_query_reads_do_not_depend_on_earlier_queries():
+    names = ("A", "B", "C", "D")
+    first = DifferenceGraph(vertices=names, edges=[("A", "B"), ("C", "D")])
+    second = DifferenceGraph(vertices=names,
+                             edges=[("B", "C"), ("A", "D"), ("D", "A")])
+    masks = oracle._compatible_masks(4, _dag_mask(second), False)
+    slots = np.searchsorted(oracle._all_dag_masks(4), masks)
+    queries = ((oracle_total, TOTAL), (oracle_direct, DIRECT))
+    oracle._family_table.cache_clear()
+    cold = [query(second, "A", "D").as_dict() for query, _ in queries]
+    oracle._family_table.cache_clear()
+    for query, effect in queries:
+        query(first, "A", "D", shared_order=True)
+        filled = oracle._family_table(4, 0, 3, effect)[slots] >= 0
+        assert filled.any() and not filled.all()
+    assert [query(second, "A", "D").as_dict() for query, _ in queries] \
+        == cold
+    for _, effect in queries:
+        assert oracle._family_table(4, 0, 3, effect)[slots].tolist() \
+            == oracle._admissible_families(4, masks, 0, 3, effect).tolist()
