@@ -20,11 +20,13 @@ are 0..n-1, a vertex set is an int bitmask, and a digraph is an int edge
 mask whose bit i*n + j holds the edge i -> j.  A query builds no
 :class:`CausalDag` except the two of a NotIdentifiable witness:
 
-* Every DAG on n vertices is enumerated once per n with numpy (each
-  permutation times every subset of its forward pairs, deduplicated).
-* A digraph is acyclic iff it has no walk of n edges (A^n = 0); the test
-  runs on all masks at once.  A DAG G is compatible with D when G xor D
-  (G or D under a shared order) passes it.
+* Every DAG on n vertices is enumerated once per n with numpy, vertex
+  by vertex: vertex k joins each DAG on 0..k-1 with every parent set that
+  no vertex of its child set reaches.  Reach is one Warshall closure on
+  bitmask rows, shared by every part of the module.
+* Within the cap a mask is acyclic iff it is in that sorted enumeration,
+  which one ``searchsorted`` decides for all masks at once.  A DAG G is
+  compatible with D when G xor D (G or D under a shared order) is acyclic.
 * d-separation of X and Y by W is decided on parent bitmasks, for every
   compatible DAG and every candidate W at once, through the
   moralised ancestral graph (Lauritzen et al. 1990): X and Y are separated
@@ -44,7 +46,6 @@ repeated query on a difference graph still in the memo does no new graph
 work.
 """
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -93,23 +94,16 @@ def _children(n, mask, v):
     return mask >> (v * n) & ((1 << n) - 1)
 
 
-def _acyclic(n, masks):
-    """Boolean array: is the digraph of each edge mask in ``masks`` (an int
-    array) acyclic?
-
-    A digraph on n vertices is acyclic iff it has no walk of n edges
-    (A^n = 0).  ``starts`` holds, per graph, the vertices that begin a walk
-    of k edges; a vertex begins a walk of k + 1 edges iff one of its
-    children begins one of k.
-    """
-    children = [_children(n, masks, v) for v in range(n)]
-    starts = np.full(len(masks), (1 << n) - 1, dtype=np.int64)
-    for _ in range(n):
-        longer = np.zeros(len(masks), dtype=np.int64)
-        for v, kids in enumerate(children):
-            longer |= (kids & starts != 0).astype(np.int64) << v
-        starts = longer
-    return starts == 0
+def _closure(rows):
+    """Strict transitive closure (Warshall) of the relation whose row v is a
+    vertex bitmask, e.g. the children of v: row v of the result holds every
+    vertex v reaches by one or more steps.  Works elementwise on int arrays
+    too; ``rows`` is not modified."""
+    reach = list(rows)
+    for k in range(len(reach)):
+        for v in range(len(reach)):
+            reach[v] = reach[v] | -(reach[v] >> k & 1) & reach[k]
+    return reach
 
 
 @lru_cache(maxsize=VERTEX_CAP + 1)
@@ -117,30 +111,33 @@ def _all_dag_masks(n):
     """Every DAG on n labeled vertices, as a sorted read-only int64 array of
     edge masks.
 
-    Each permutation contributes every subset of its forward pairs, which
-    hits each DAG once per linear extension; ``np.unique`` dedupes and
-    sorts.
+    Vertex k joins each DAG on 0..k-1 with a parent set P and a disjoint
+    child set C; the result is a DAG iff no vertex of C reaches one of P,
+    so every DAG is made exactly once (Robinson 1973).
     """
-    forward = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    m = len(forward)
-    picks = np.arange(1 << m)[:, None] >> np.arange(m) & 1
-    masks = [picks @ np.array([1 << (perm[i] * n + perm[j])
-                               for i, j in forward], dtype=np.int64)
-             for perm in itertools.permutations(range(n))]
-    masks = np.unique(np.concatenate(masks))
+    masks = np.zeros(1, dtype=np.int64)
+    for k in range(n):
+        reach = _closure([_children(n, masks, v) for v in range(k)])
+        # below[c]: the vertices of the child set c and all they reach
+        below = [np.zeros_like(masks)]
+        for c in range(1, 1 << k):
+            v = (c & -c).bit_length() - 1
+            below.append(below[c & c - 1] | 1 << v | reach[v])
+        masks = np.concatenate([
+            masks[below[c] & p == 0] | c << k * n
+            | _mask_of(n, [(v, k) for v in range(k) if p >> v & 1])
+            for c in range(1 << k) for p in range(1 << k) if not p & c])
+    masks.sort()
     masks.flags.writeable = False
     return masks
 
 
-def _descendants(n, masks, v):
-    """Reflexive descendants of v in every DAG of ``masks`` (an int64 array
-    of edge masks), as an array of vertex bitmasks."""
-    children = [_children(n, masks, u) for u in range(n)]
-    seen = np.full(len(masks), 1 << v, dtype=np.int64)
-    for _ in range(n - 1):
-        for u, kids in enumerate(children):
-            seen |= -(seen >> u & 1) & kids
-    return seen
+def _is_dag(n, masks):
+    """Boolean array: is each edge mask in ``masks`` (an int array) one of
+    ``_all_dag_masks(n)``, i.e. a DAG?"""
+    dags = _all_dag_masks(n)
+    slots = np.minimum(np.searchsorted(dags, masks), len(dags) - 1)
+    return dags[slots] == masks
 
 
 def _admissible_families(n, masks, x, y, effect):
@@ -157,16 +154,13 @@ def _admissible_families(n, masks, x, y, effect):
     # the moral graph joins the members of each vertex's family pairwise
     families = [sum((kids >> v & 1) << u for u, kids in enumerate(children))
                 | 1 << v for v in range(n)]
-    # ancestors in the cut graph (reflexive closure, Warshall on bitmasks)
-    ancestors = [f.copy() for f in families]
-    for k in range(n):
-        for v in range(n):
-            ancestors[v] |= -(ancestors[v] >> k & 1) & ancestors[k]
+    # reflexive ancestors in the cut graph: the closure of the families
+    ancestors = _closure(families)
     # W may not hold x, y or a strict descendant of the pivot; column j of
     # each (DAG, W) array below stands for the j-th candidate W
     ws = np.array([w for w in range(1 << n) if not w & (1 << x | 1 << y)],
                   dtype=np.int64)
-    forbidden = _descendants(n, masks, pivot)[:, None]
+    forbidden = _closure([_children(n, masks, u) for u in range(n)])[pivot]
     ancestral = (ancestors[x] | ancestors[y])[:, None] | ws
     for v in range(n):
         ancestral |= -(ws >> v & 1) & ancestors[v][:, None]
@@ -179,7 +173,7 @@ def _admissible_families(n, masks, x, y, effect):
     for _ in range(n - 1):
         for joined in joins:
             reach |= np.where(joined & reach, joined, 0)
-    passes = (reach >> y & 1 == 0) & (ws & forbidden == 0)
+    passes = (reach >> y & 1 == 0) & (ws & forbidden[:, None] == 0)
     return np.bitwise_or.reduce(np.where(passes, 1 << ws, 0), axis=1)
 
 
@@ -254,7 +248,7 @@ def _compatible_masks(n, d_mask, shared_order):
     """
     masks = _all_dag_masks(n)
     combined = masks | d_mask if shared_order else masks ^ d_mask
-    compatible = masks[_acyclic(n, combined)]
+    compatible = masks[_is_dag(n, combined)]
     compatible.flags.writeable = False
     return compatible
 
@@ -290,10 +284,11 @@ def _oracle(d, x, y, shared_order, effect):
     xi, yi = index[x], index[y]
     masks = _compatible_masks(n, d_mask, shared_order)
 
-    if effect == TOTAL:
-        never_effect = not np.any(_descendants(n, masks, xi) >> yi & 1)
-    else:
-        never_effect = not np.any(masks & 1 << (xi * n + yi))
+    # a DAG with the edge x -> y has the path too
+    never_effect = not np.any(masks & 1 << (xi * n + yi))
+    if never_effect and effect == TOTAL:
+        reach = _closure([_children(n, masks, v) for v in range(n)])[xi]
+        never_effect = not np.any(reach >> yi & 1)
     if never_effect:
         return _verdict(effect, NULL_EFFECT, x, y)
 

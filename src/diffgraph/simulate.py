@@ -22,10 +22,10 @@ from .estimate import CONTINUOUS, Dataset
 from .graphs import CausalDag, DifferenceGraph, check_shared_order
 from .oracle import (
     VERTEX_CAP,
-    _acyclic,
     _checked_setup,
     _compatible_masks,
     _dag_from_mask,
+    _is_dag,
     _mask_of,
 )
 
@@ -132,9 +132,9 @@ def _partner_masks(d, index, d_mask, g1_mask, shared_order):
     candidates = np.array(
         [base | sum(extra) for r in range(len(optional) + 1)
          for extra in itertools.combinations(optional, r)], dtype=np.int64)
-    valid = _acyclic(n, candidates)
+    valid = _is_dag(n, candidates)
     if shared_order:
-        valid &= _acyclic(n, candidates | g1_mask)
+        valid &= _is_dag(n, candidates | g1_mask)
     return candidates[valid].tolist()
 
 

@@ -322,17 +322,46 @@ def test_witnesses_are_the_first_disjoint_pair_in_mask_order():
         names + "X -> W2\nX -> Y\nW2 -> W1\nW2 -> Y\n"]
 
 
+def _digraph_of(n, mask):
+    names = [f"V{i}" for i in range(n)]
+    return DifferenceGraph(vertices=names, edges=[
+        (names[i], names[j]) for i, j in oracle._edges_of(n, mask)])
+
+
 def test_all_dag_masks_lists_every_dag_once_in_ascending_order():
     # labeled DAGs on n vertices: OEIS A003024
     for n, count in zip(range(1, 6), (1, 3, 25, 543, 29_281)):
         masks = oracle._all_dag_masks(n).tolist()
         assert len(masks) == count
         assert all(a < b for a, b in zip(masks, masks[1:]))
-        names = [f"V{i}" for i in range(n)]
         for mask in masks:
-            edges = [(names[i], names[j])
-                     for i, j in oracle._edges_of(n, mask)]
-            assert DifferenceGraph(vertices=names, edges=edges).is_acyclic()
+            assert _digraph_of(n, mask).is_acyclic()
+    # past the cap, without filling the memo
+    masks = oracle._all_dag_masks.__wrapped__(6)
+    assert len(masks) == 3_781_503
+    assert (masks[1:] > masks[:-1]).all()
+    for mask in random.Random(6).sample(masks.tolist(), 2_000):
+        assert _digraph_of(6, mask).is_acyclic()
+
+
+def _every_digraph_mask(n):
+    pairs = list(itertools.permutations(range(n), 2))
+    return [oracle._mask_of(n, itertools.compress(pairs, picks))
+            for picks in itertools.product((0, 1), repeat=len(pairs))]
+
+
+def test_dag_lookup_agrees_with_kahn():
+    rng = random.Random(9)
+    pairs = list(itertools.permutations(range(5), 2))
+    sample = [oracle._mask_of(5, (p for p in pairs if rng.random() < 0.3))
+              for _ in range(3_000)]
+    cases = [(n, _every_digraph_mask(n)) for n in range(1, 5)]
+    for n, masks in cases + [(5, sample)]:
+        is_dag = oracle._is_dag(n, np.array(masks, dtype=np.int64))
+        assert is_dag.tolist() \
+            == [_digraph_of(n, mask).is_acyclic() for mask in masks]
+    # masks above the largest DAG mask reach the lookup's clamp
+    assert max(cases[-1][1]) > oracle._all_dag_masks(4)[-1]
 
 
 def test_all_dag_masks_sort_by_edges_from_the_highest_pair_down():
@@ -349,9 +378,7 @@ def test_all_dag_masks_sort_by_edges_from_the_highest_pair_down():
 
 def test_children_of_a_mask_array_match_each_mask():
     for n in range(1, 5):
-        pairs = list(itertools.permutations(range(n), 2))
-        masks = [oracle._mask_of(n, itertools.compress(pairs, picks))
-                 for picks in itertools.product((0, 1), repeat=len(pairs))]
+        masks = _every_digraph_mask(n)
         array = np.array(masks, dtype=np.int64)
         for v in range(n):
             want = [sum(1 << j for i, j in oracle._edges_of(n, m) if i == v)
@@ -360,16 +387,36 @@ def test_children_of_a_mask_array_match_each_mask():
             assert oracle._children(n, array, v).tolist() == want
 
 
+def _names_of(names, bits):
+    return frozenset(name for v, name in enumerate(names) if bits >> v & 1)
+
+
 def _family_as_sets(names, family):
-    n = len(names)
-    return {frozenset(names[v] for v in range(n) if w >> v & 1)
-            for w in range(1 << n) if family >> w & 1}
+    return {_names_of(names, w)
+            for w in range(1 << len(names)) if family >> w & 1}
 
 
 def _dag_mask(g):
     index = {v: i for i, v in enumerate(g.vertices)}
     return oracle._mask_of(len(g.vertices),
                            [(index[t], index[h]) for t, h in g.edges])
+
+
+def test_closure_of_child_and_parent_rows_gives_descendants_and_ancestors():
+    for n in range(1, 5):
+        names = ("A", "B", "C", "D")[:n]
+        dags = all_dags(names)
+        masks = np.array([_dag_mask(g) for g in dags], dtype=np.int64)
+        children = [oracle._children(n, masks, v) for v in range(n)]
+        parents = [sum((kids >> v & 1) << u for u, kids in enumerate(children))
+                   for v in range(n)]
+        below, above = oracle._closure(children), oracle._closure(parents)
+        for k, g in enumerate(dags):
+            for v, name in enumerate(names):
+                assert _names_of(names, below[v][k] | 1 << v) \
+                    == g.descendants(name)
+                assert _names_of(names, above[v][k] | 1 << v) \
+                    == g.ancestors(name)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
