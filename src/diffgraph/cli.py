@@ -13,8 +13,7 @@ import os
 import sys
 
 from .estimate import (
-    CONTINUOUS,
-    DISCRETE,
+    EFFECT_KIND,
     Dataset,
     causal_change,
     estimate_effect,
@@ -40,17 +39,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_IDENTIFIABLE = 2
 
-# The data kind each effect is estimated from, the kind flag that
-# contradicts it, and why.
-_DATA_KIND = {
-    TOTAL: (DISCRETE, "continuous",
-            "the adjustment formula estimates discrete data"),
-    DIRECT: (CONTINUOUS, "discrete",
-             "the direct effect is estimated by regression on continuous "
-             "data"),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; reserve 2 for sound negatives."""
 
@@ -72,14 +60,6 @@ def _graph_flags(sub, with_query=True):
         sub.add_argument("--outcome", required=True, metavar="Y")
     sub.add_argument("--shared-order", action="store_true",
                      help="assume both models admit one topological order")
-
-
-def _kind_flags(sub, required):
-    group = sub.add_mutually_exclusive_group(required=required)
-    group.add_argument("--discrete", action="store_true",
-                       help="datasets hold non-negative integer codes")
-    group.add_argument("--continuous", action="store_true",
-                       help="datasets hold real-valued columns")
 
 
 def _emit(args, doc, text):
@@ -109,10 +89,14 @@ def _identify(args, effect):
     return identify_total(q) if effect == TOTAL else identify_direct(q)
 
 
-def _emit_verdict(args, verdict):
-    _emit(args, verdict.as_dict(), _verdict_text(args, verdict))
+def _exit_code(verdict):
     return (EXIT_NOT_IDENTIFIABLE if verdict.kind == NOT_IDENTIFIABLE
             else EXIT_OK)
+
+
+def _emit_verdict(args, verdict):
+    _emit(args, verdict.as_dict(), _verdict_text(args, verdict))
+    return _exit_code(verdict)
 
 
 def _cmd_check(args, effect):
@@ -141,8 +125,7 @@ def _cmd_oracle(args, effect):
                 body = "    ".join(g.to_edge_list().splitlines(True))
                 text += f"\nwitness model {i}:\n    {body.rstrip()}"
     _emit(args, verdict.as_dict(), text)
-    return (EXIT_NOT_IDENTIFIABLE if verdict.kind == NOT_IDENTIFIABLE
-            else EXIT_OK)
+    return _exit_code(verdict)
 
 
 def _cmd_estimate(args, effect):
@@ -150,10 +133,7 @@ def _cmd_estimate(args, effect):
     verdict = _identify(args, effect)
     if verdict.kind == NOT_IDENTIFIABLE:
         return _emit_verdict(args, verdict)
-    kind, wrong, why = _DATA_KIND[effect]
-    if getattr(args, wrong):
-        raise ValueError(f"{why}; drop --{wrong}")
-    data = Dataset.from_csv(args.data1, kind)
+    data = Dataset.from_csv(args.data1, EFFECT_KIND[effect])
     estimate = estimate_effect(verdict, data, x, y, laplace=args.laplace)
     if effect == TOTAL:
         shown = format_interventional_table(estimate, x, y)
@@ -171,7 +151,7 @@ def _cmd_change(args):
     verdict = _identify(args, effect)
     if verdict.kind == NOT_IDENTIFIABLE:
         return _emit_verdict(args, verdict)
-    kind = _DATA_KIND[effect][0]
+    kind = EFFECT_KIND[effect]
     data1 = Dataset.from_csv(args.data1, kind)
     data2 = Dataset.from_csv(args.data2, kind)
     report = causal_change(verdict, data1, data2, args.exposure,
@@ -247,7 +227,6 @@ def build_parser():
         p = sub.add_parser(name, help=summary)
         _graph_flags(p)
         p.add_argument("--data1", required=True, metavar="CSV")
-        _kind_flags(p, required=False)
         if effect == TOTAL:
             p.add_argument("--laplace", type=float, metavar="ALPHA")
         p.add_argument("--json", action="store_true")
@@ -261,7 +240,11 @@ def build_parser():
     _graph_flags(p)
     p.add_argument("--data1", required=True, metavar="CSV")
     p.add_argument("--data2", required=True, metavar="CSV")
-    _kind_flags(p, required=True)
+    kind = p.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--discrete", action="store_true",
+                      help="datasets hold non-negative integer codes")
+    kind.add_argument("--continuous", action="store_true",
+                      help="datasets hold real-valued columns")
     p.add_argument("--laplace", type=float, metavar="ALPHA")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_change)

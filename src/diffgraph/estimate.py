@@ -25,6 +25,9 @@ from .identify import DIRECT, NOT_IDENTIFIABLE, NULL_EFFECT, TOTAL
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
+# The data kind each effect is estimated from.
+EFFECT_KIND = {TOTAL: DISCRETE, DIRECT: CONTINUOUS}
+
 RANK_TOLERANCE = 1e-10
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -71,6 +74,8 @@ class Dataset:
         data = np.asarray(rows, dtype=float)
         if data.ndim != 2:
             raise ValueError(f"rows must be a matrix, got shape {data.shape}")
+        if data.shape[0] == 0:
+            raise ValueError("no data rows")
         if data.shape[1] != len(names):
             raise ValueError(f"{len(names)} variable names but "
                              f"{data.shape[1]} columns per row")
@@ -133,8 +138,6 @@ class Dataset:
                         fh.seek(0)
                         fh.readline()
                         raise ValueError(_first_fault(fh, names) or exc)
-            if data.size == 0:
-                raise ValueError("no data rows")
             return cls(names, data, kind)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -242,12 +245,12 @@ class CausalChangeReport:
     adjustment_set: tuple
 
     def as_dict(self):
-        def convert(v):
-            return v.as_dict() if hasattr(v, "as_dict") else v
-        return {"quantity": self.quantity,
-                "population1_value": convert(self.population1_value),
-                "population2_value": convert(self.population2_value),
-                "change": convert(self.change),
+        p1, p2, change = (self.population1_value, self.population2_value,
+                          self.change)
+        if self.quantity == TOTAL:
+            p1, p2, change = p1.as_dict(), p2.as_dict(), change.as_dict()
+        return {"quantity": self.quantity, "population1_value": p1,
+                "population2_value": p2, "change": change,
                 "adjustment_set": list(self.adjustment_set)}
 
 
@@ -387,11 +390,11 @@ def estimate_effect(verdict, data, x, y, laplace=None,
         if laplace is not None:
             raise ValueError("laplace smoothing applies to total effects only")
         if verdict.kind == NULL_EFFECT:
-            _checked_inputs(data, CONTINUOUS, x, y, ())
+            _checked_inputs(data, EFFECT_KIND[verdict.effect], x, y, ())
             return 0.0
         return partial_regression_coefficient(data, x, y, w)
     if verdict.kind == NULL_EFFECT:
-        _checked_inputs(data, DISCRETE, x, y, (), laplace)
+        _checked_inputs(data, EFFECT_KIND[verdict.effect], x, y, (), laplace)
         return marginal_table(data, x, y, exposure_levels, outcome_levels)
     return adjustment_total(data, x, y, w, laplace,
                             exposure_levels, outcome_levels)
@@ -404,7 +407,7 @@ def causal_change(verdict, data1, data2, x, y, laplace=None):
     over a value grid common to both datasets.  The change is population 1
     minus population 2, elementwise for tables.
     """
-    if data1.variable_names != data2.variable_names:
+    if set(data1.variable_names) != set(data2.variable_names):
         raise ValueError("datasets have different variables")
     if data1.kind != data2.kind:
         raise ValueError("datasets have different kinds")
@@ -440,7 +443,7 @@ def format_change_report(report, x, y):
     adj = ", ".join(report.adjustment_set) if report.adjustment_set else "()"
     title = (f"{report.quantity} causal change for {x} -> {y} "
              f"(adjustment set: {adj})")
-    if report.quantity == "direct":
+    if report.quantity == DIRECT:
         body = _align([
             ["population 1:", f"{report.population1_value:.6f}"],
             ["population 2:", f"{report.population2_value:.6f}"],

@@ -122,8 +122,10 @@ def _partner_masks(d, index, d_mask, g1_mask, shared_order):
 
     A partner must contain the symmetric difference of g1 and the D-edges
     and may add any subset of the D-edges g1 already has (same edge, two
-    coefficients).  Deterministic order: by subset size, then the D-edges'
-    name order.
+    coefficients).  Under a shared order every candidate is a subgraph of
+    g1 plus D, which is acyclic for a compatible g1, so only the general
+    regime needs the acyclicity test.  Deterministic order: by subset size,
+    then the D-edges' name order.
     """
     n = len(index)
     d_bits = [_mask_of(n, [(index[t], index[h])]) for t, h in sorted(d.edges)]
@@ -132,10 +134,9 @@ def _partner_masks(d, index, d_mask, g1_mask, shared_order):
     candidates = np.array(
         [base | sum(extra) for r in range(len(optional) + 1)
          for extra in itertools.combinations(optional, r)], dtype=np.int64)
-    valid = _is_dag(n, candidates)
-    if shared_order:
-        valid &= _is_dag(n, candidates | g1_mask)
-    return candidates[valid].tolist()
+    if not shared_order:
+        candidates = candidates[_is_dag(n, candidates)]
+    return candidates.tolist()
 
 
 def _random_order_pair(d, shared_order, rng):

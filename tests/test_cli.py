@@ -265,14 +265,25 @@ def test_estimate_total_not_identifiable_exits_2(graph_1m, tmp_path, capsys):
     assert code == 2
 
 
+def _assert_usage_error(argv, capsys, message):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: diffgraph ")
+    assert captured.err.endswith(message + "\n")
+
+
 def test_estimate_total_rejects_continuous_flag(graph_1h, tmp_path, capsys):
+    """The effect fixes the data kind, so estimate-* has no kind flags."""
     csv = tmp_path / "d.csv"
     _write_discrete(csv, 3)
-    code = main(["estimate-total", "--graph", graph_1h, "--exposure", "X",
-                 "--outcome", "Y", "--shared-order", "--data1", str(csv),
-                 "--continuous"])
-    assert code == 1
-    assert "drop --continuous" in capsys.readouterr().err
+    for flag in ("--continuous", "--discrete"):
+        _assert_usage_error(
+            ["estimate-total", "--graph", graph_1h, "--exposure", "X",
+             "--outcome", "Y", "--shared-order", "--data1", str(csv), flag],
+            capsys, f"error: unrecognized arguments: {flag}")
 
 
 def _write_continuous(path, seed, alpha, n=20_000):
@@ -316,11 +327,11 @@ def test_estimate_direct_reads_the_data_for_a_null_effect(tmp_path,
 def test_estimate_direct_rejects_discrete_flag(graph_1m, tmp_path, capsys):
     csv = tmp_path / "c.csv"
     _write_continuous(csv, 6, alpha=0.5, n=100)
-    code = main(["estimate-direct", "--graph", graph_1m, "--exposure", "X",
-                 "--outcome", "Y", "--shared-order", "--data1", str(csv),
-                 "--discrete"])
-    assert code == 1
-    assert "drop --discrete" in capsys.readouterr().err
+    for flag in ("--discrete", "--continuous"):
+        _assert_usage_error(
+            ["estimate-direct", "--graph", graph_1m, "--exposure", "X",
+             "--outcome", "Y", "--shared-order", "--data1", str(csv), flag],
+            capsys, f"error: unrecognized arguments: {flag}")
 
 
 def test_estimate_direct_not_identifiable_exits_2(graph_1h, tmp_path,

@@ -56,6 +56,17 @@ def test_dataset_validation():
                 DISCRETE)
 
 
+def test_an_empty_dataset_is_rejected_on_construction():
+    """Zero rows fail in the constructor, not inside an estimator; rows
+    without columns are a width error."""
+    for kind in (DISCRETE, CONTINUOUS):
+        with pytest.raises(ValueError, match="^no data rows$"):
+            Dataset(["X", "Y"], np.empty((0, 2)), kind)
+        with pytest.raises(ValueError,
+                           match="^1 variable names but 0 columns per row$"):
+            Dataset(["X"], [[]], kind)
+
+
 def test_dataset_accessors():
     data = _discrete(None, x=[0, 1, 1], y=[2, 0, 1])
     assert len(data) == 3
@@ -537,6 +548,24 @@ def test_causal_change_rejects_bad_inputs():
     as_continuous = Dataset(data.variable_names, data.rows, CONTINUOUS)
     with pytest.raises(ValueError, match="different kinds"):
         causal_change(_total_verdict(), data, as_continuous, "X", "Y")
+
+
+def test_causal_change_matches_datasets_by_variable_name():
+    """Estimators read columns by name, so the column order of either
+    dataset does not matter; a different set of variables still does."""
+    order = [3, 0, 2, 1]
+    for verdict, data1, data2 in (
+            (_total_verdict(), _gallery_discrete(2), _gallery_discrete(3)),
+            (_direct_verdict(), _gallery_linear(2, 1.0, n=2000),
+             _gallery_linear(3, 0.5, n=2000))):
+        permuted = Dataset([data2.variable_names[i] for i in order],
+                           data2.rows[:, order], data2.kind)
+        aligned = causal_change(verdict, data1, data2, "X", "Y").as_dict()
+        assert causal_change(verdict, data1, permuted, "X",
+                             "Y").as_dict() == aligned
+        renamed = Dataset(("W1", "X", "W2", "Z"), data2.rows, data2.kind)
+        with pytest.raises(ValueError, match="different variables"):
+            causal_change(verdict, data1, renamed, "X", "Y")
 
 
 def test_interventional_table_validation():

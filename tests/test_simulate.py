@@ -17,7 +17,8 @@ from diffgraph import (
     sample_dataset,
     shares_topological_order,
 )
-from diffgraph.simulate import SEPARATION_MARGIN, UNIFORM
+from diffgraph.oracle import _checked_setup, _compatible_masks, _is_dag
+from diffgraph.simulate import SEPARATION_MARGIN, UNIFORM, _partner_masks
 from helpers import DG_1C, DG_1H, DG_1M, DG_2C, DG_2F, DG_2K, is_compatible_pair
 
 GALLERY = {"1c": DG_1C, "1h": DG_1H, "1m": DG_1M,
@@ -77,6 +78,24 @@ def test_sampled_pairs_round_trip_and_respect_the_regime(gid):
         assert is_compatible_pair(pair.scm1.dag, pair.scm2.dag, d, shared)
         if shared:
             assert shares_topological_order(pair.scm1.dag, pair.scm2.dag)
+
+
+def test_shared_order_partners_are_every_subset_of_shared_d_edges():
+    """Under a shared order g1 | D is acyclic for a compatible g1, so each
+    of the 2^|g1 & D| candidate partners is one, with a union that keeps
+    the shared order."""
+    checked = 0
+    for d in GALLERY.values():
+        if not d.is_acyclic():
+            continue
+        n, index, d_mask = _checked_setup(d, True)
+        for g1 in _compatible_masks(n, d_mask, True).tolist():
+            partners = _partner_masks(d, index, d_mask, g1, True)
+            assert len(set(partners)) == len(partners) \
+                == 2 ** bin(g1 & d_mask).count("1"), (d, g1)
+            assert _is_dag(n, np.array(partners) | g1).all(), (d, g1)
+            checked += 1
+    assert checked == 3 + 96 + 128
 
 
 def test_sampled_structure_is_pinned_for_a_seed():
