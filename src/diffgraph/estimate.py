@@ -55,7 +55,8 @@ class Dataset:
     variable_names : sequence of str
     rows : array-like, shape (N, len(variable_names))
     kind : {"discrete", "continuous"}
-        Discrete data must be non-negative integer codes; the cardinality of
+        Discrete data must be non-negative integer codes of at most 2**53,
+        up to which a float holds every integer exactly; the cardinality of
         a variable is one plus its largest observed code.
 
     A bad cell is reported by the first one in row-major order, as "row r,
@@ -90,6 +91,11 @@ class Dataset:
                 raise ValueError(
                     "discrete data must be non-negative integer codes, got "
                     f"{data[bad][0]:g} at {_first_cell(names, bad)}")
+            if data.max(initial=0) > 2.0 ** 53:
+                big = data > 2.0 ** 53
+                raise ValueError(
+                    "discrete codes must be at most 2**53, got "
+                    f"{data[big][0]:g} at {_first_cell(names, big)}")
         self.variable_names = names
         self.rows = data
         self.kind = kind
@@ -429,13 +435,8 @@ def causal_change(verdict, data1, data2, x, y, laplace=None):
 
 def format_interventional_table(table, x, y):
     """Aligned-column text rendering of one interventional table."""
-    header = [x, y, f"P({y}|do({x}))"]
-    rows = []
-    for i, xv in enumerate(table.exposure_values):
-        for j, yv in enumerate(table.outcome_values):
-            rows.append([str(xv), str(yv),
-                         f"{table.probabilities[i, j]:.6f}"])
-    return _align([header] + rows)
+    return _align_grid(table, x, y,
+                       {f"P({y}|do({x}))": table.probabilities})
 
 
 def format_change_report(report, x, y):
@@ -450,17 +451,21 @@ def format_change_report(report, x, y):
             ["change:", f"{report.change:.6f}"],
         ])
         return title + "\n" + body
-    header = [x, y, "P1(y|do(x))", "P2(y|do(x))", "change"]
-    rows = []
-    t1, t2, tc = (report.population1_value, report.population2_value,
-                  report.change)
-    for i, xv in enumerate(t1.exposure_values):
-        for j, yv in enumerate(t1.outcome_values):
-            rows.append([str(xv), str(yv),
-                         f"{t1.probabilities[i, j]:.6f}",
-                         f"{t2.probabilities[i, j]:.6f}",
-                         f"{tc.values[i, j]:.6f}"])
-    return title + "\n" + _align([header] + rows)
+    t1, t2 = report.population1_value, report.population2_value
+    return title + "\n" + _align_grid(t1, x, y, {
+        "P1(y|do(x))": t1.probabilities, "P2(y|do(x))": t2.probabilities,
+        "change": report.change.values})
+
+
+def _align_grid(grid, x, y, columns):
+    """One aligned row per (x, y) of the table ``grid``, with a 6-decimal
+    cell per column; ``columns`` maps each header to its array over it."""
+    rows = [[x, y, *columns]]
+    for i, xv in enumerate(grid.exposure_values):
+        for j, yv in enumerate(grid.outcome_values):
+            rows.append([str(xv), str(yv), *(f"{cells[i, j]:.6f}"
+                                             for cells in columns.values())])
+    return _align(rows)
 
 
 def _align(rows):

@@ -22,18 +22,21 @@ mask whose bit i*n + j holds the edge i -> j.  A query builds no
 
 * Every DAG on n vertices is enumerated once per n with numpy, vertex
   by vertex: vertex k joins each DAG on 0..k-1 with every parent set that
-  no vertex of its child set reaches.  Reach is one Warshall closure on
-  bitmask rows, shared by every part of the module.
+  no vertex of its child set reaches.  That reach and the ancestors of
+  the family kernel are one Warshall closure on bitmask rows.
 * Within the cap a mask is acyclic iff it is in that sorted enumeration,
-  which one ``searchsorted`` decides for all masks at once.  A DAG G is
-  compatible with D when G xor D (G or D under a shared order) is acyclic.
+  which one ``searchsorted`` decides for all masks at once.  That lookup
+  answers every other acyclicity and reach question: G is compatible with
+  D when G xor D (G or D under a shared order) is acyclic, and a DAG has
+  a path from X to Y iff adding Y -> X closes a cycle.
 * d-separation of X and Y by W is decided on parent bitmasks, for every
   compatible DAG and every candidate W at once, through the
   moralised ancestral graph (Lauritzen et al. 1990): X and Y are separated
   iff they are disconnected in the moral graph of the ancestors of
   {X, Y} and W once W is removed.  Back-door admissibility cuts the edges
   out of X, single-door admissibility the edge X -> Y, and W must avoid
-  the strict descendants of X (back-door) or Y (single-door).
+  the strict descendants of X (back-door) or Y (single-door), read off
+  the ancestors in the cut graph.
 
 Memos are functools caches whose sizes are bounded, so a long sweep keeps
 bounded memory: the DAG enumeration per n, the compatible masks of the
@@ -41,11 +44,12 @@ last COMPATIBLE_MEMO_SIZE difference graphs as int64 arrays, and one
 family table per (n, X, Y, effect), with a slot per DAG of the
 enumeration.  There are 80 such keys up to the cap, so the tables never
 evict and take at most 9.4 MB.  A query computes the families only of its
-compatible DAGs whose slots are still empty, in one array call; a
-repeated query on a difference graph still in the memo does no new graph
-work.
+compatible DAGs whose slots are still empty, in one array call.  A
+repeated query on a difference graph still in the memo computes no
+family, but a NotIdentifiable one builds its two witness DAGs again.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -160,7 +164,10 @@ def _admissible_families(n, masks, x, y, effect):
     # each (DAG, W) array below stands for the j-th candidate W
     ws = np.array([w for w in range(1 << n) if not w & (1 << x | 1 << y)],
                   dtype=np.int64)
-    forbidden = _closure([_children(n, masks, u) for u in range(n)])[pivot]
+    # the pivot's strict descendants have a child of the pivot among their
+    # cut-graph ancestors: a path using a cut edge would revisit the pivot
+    kids = _children(n, masks, pivot)
+    forbidden = sum(np.where(ancestors[v] & kids, 1 << v, 0) for v in range(n))
     ancestral = (ancestors[x] | ancestors[y])[:, None] | ws
     for v in range(n):
         ancestral |= -(ws >> v & 1) & ancestors[v][:, None]
@@ -175,14 +182,6 @@ def _admissible_families(n, masks, x, y, effect):
             reach |= np.where(joined & reach, joined, 0)
     passes = (reach >> y & 1 == 0) & (ws & forbidden[:, None] == 0)
     return np.bitwise_or.reduce(np.where(passes, 1 << ws, 0), axis=1)
-
-
-def _subset_order_key(n):
-    """Sort key over vertex bitmasks: size first, then lexicographic."""
-    def key(wbits):
-        members = tuple(v for v in range(n) if wbits >> v & 1)
-        return (len(members), members)
-    return key
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +223,20 @@ def single_door_admissible(g, x, y, w):
 
 
 def _checked_setup(d, shared_order):
+    """n, the vertex index, D's edge mask and the compatible masks.  Any
+    general-regime D has a compatible DAG (orient D along a vertex order),
+    a shared-order D exactly when acyclic: only an empty set is checked."""
     n = len(d.vertices)
     if n > VERTEX_CAP:
         raise ValueError(
             f"brute-force enumeration is capped at {VERTEX_CAP} vertices, "
             f"got {n}")
-    check_shared_order(d, shared_order)
     index = {v: i for i, v in enumerate(d.vertices)}
     d_mask = _mask_of(n, [(index[t], index[h]) for t, h in d.edges])
-    return n, index, d_mask
+    masks = _compatible_masks(n, d_mask, shared_order)
+    if not len(masks):
+        check_shared_order(d, shared_order)
+    return n, index, d_mask, masks
 
 
 @lru_cache(maxsize=COMPATIBLE_MEMO_SIZE)
@@ -273,23 +277,46 @@ def enumerate_compatible_dags(d, shared_order=False):
     order.  Raises ValueError beyond the 5-vertex cap, and in shared-order
     mode when ``d`` is cyclic (no compatible pair exists at all).
     """
-    n, _, d_mask = _checked_setup(d, shared_order)
-    masks = _compatible_masks(n, d_mask, shared_order).tolist()
+    masks = _checked_setup(d, shared_order)[-1].tolist()
     return tuple(_dag_from_mask(d.vertices, mask) for mask in masks)
 
 
+def _partner_masks(d, index, d_mask, g1_mask, shared_order):
+    """Edge masks of every partner of the compatible DAG ``g1_mask``: g1
+    xor D plus any subset of the D-edges g1 has (same edge, two
+    coefficients), by subset size, then the D-edges' name order.  Under a
+    shared order each is a subgraph of g1 or D, acyclic for a compatible
+    g1, so only the general regime needs the acyclicity test."""
+    n = len(index)
+    optional = [b for b in (_mask_of(n, [(index[t], index[h])])
+                            for t, h in sorted(d.edges)) if g1_mask & b]
+    candidates = np.array(
+        [(g1_mask ^ d_mask) | sum(extra) for r in range(len(optional) + 1)
+         for extra in itertools.combinations(optional, r)], dtype=np.int64)
+    if not shared_order:
+        candidates = candidates[_is_dag(n, candidates)]
+    return candidates.tolist()
+
+
+def draw_compatible_dags(d, shared_order, rng):
+    """A compatible DAG pair for ``d`` within the cap: G1 uniform over the
+    compatible DAGs, then G2 over G1's partners, by one ``rng.integers``
+    call each."""
+    _, index, d_mask, masks = _checked_setup(d, shared_order)
+    g1_mask = int(masks[rng.integers(len(masks))])
+    partners = _partner_masks(d, index, d_mask, g1_mask, shared_order)
+    g2_mask = partners[int(rng.integers(len(partners)))]
+    return tuple(_dag_from_mask(d.vertices, m) for m in (g1_mask, g2_mask))
+
+
 def _oracle(d, x, y, shared_order, effect):
-    n, index, d_mask = _checked_setup(d, shared_order)
+    n, index, _, masks = _checked_setup(d, shared_order)
     EffectQuery(d, x, y)  # _checked_setup has checked the shared order
     xi, yi = index[x], index[y]
-    masks = _compatible_masks(n, d_mask, shared_order)
 
-    # a DAG with the edge x -> y has the path too
-    never_effect = not np.any(masks & 1 << (xi * n + yi))
-    if never_effect and effect == TOTAL:
-        reach = _closure([_children(n, masks, v) for v in range(n)])[xi]
-        never_effect = not np.any(reach >> yi & 1)
-    if never_effect:
+    # a DAG has a path from x to y iff adding y -> x closes a cycle
+    if (_is_dag(n, masks | 1 << (yi * n + xi)).all() if effect == TOTAL
+            else not np.any(masks & 1 << (xi * n + yi))):
         return _verdict(effect, NULL_EFFECT, x, y)
 
     table = _family_table(n, xi, yi, effect)
@@ -301,8 +328,10 @@ def _oracle(d, x, y, shared_order, effect):
             n, masks[todo], xi, yi, effect)
     common = int(np.bitwise_and.reduce(families))
     if common:
+        # the smallest set, then the lexicographically first
         wbits = min((w for w in range(1 << n) if common >> w & 1),
-                    key=_subset_order_key(n))
+                    key=lambda w: (w.bit_count(),
+                                   [v for v in range(n) if w >> v & 1]))
         w = tuple(d.vertices[v] for v in range(n) if wbits >> v & 1)
         return _verdict(effect, ADJUSTMENT_IDENTIFIABLE, x, y, w=w)
 

@@ -20,14 +20,7 @@ import numpy as np
 
 from .estimate import CONTINUOUS, Dataset
 from .graphs import CausalDag, DifferenceGraph, check_shared_order
-from .oracle import (
-    VERTEX_CAP,
-    _checked_setup,
-    _compatible_masks,
-    _dag_from_mask,
-    _is_dag,
-    _mask_of,
-)
+from .oracle import VERTEX_CAP, draw_compatible_dags
 
 GAUSSIAN = "gaussian"
 UNIFORM = "uniform"
@@ -115,30 +108,6 @@ def _draw_coefficient(rng):
     return magnitude if rng.random() < 0.5 else -magnitude
 
 
-def _partner_masks(d, index, d_mask, g1_mask, shared_order):
-    """Edge masks of every DAG forming a compatible pair with the DAG
-    ``g1_mask`` under ``d``, whose edge mask is ``d_mask`` (vertex indices
-    from ``index``).
-
-    A partner must contain the symmetric difference of g1 and the D-edges
-    and may add any subset of the D-edges g1 already has (same edge, two
-    coefficients).  Under a shared order every candidate is a subgraph of
-    g1 plus D, which is acyclic for a compatible g1, so only the general
-    regime needs the acyclicity test.  Deterministic order: by subset size,
-    then the D-edges' name order.
-    """
-    n = len(index)
-    d_bits = [_mask_of(n, [(index[t], index[h])]) for t, h in sorted(d.edges)]
-    optional = [b for b in d_bits if g1_mask & b]
-    base = g1_mask ^ d_mask
-    candidates = np.array(
-        [base | sum(extra) for r in range(len(optional) + 1)
-         for extra in itertools.combinations(optional, r)], dtype=np.int64)
-    if not shared_order:
-        candidates = candidates[_is_dag(n, candidates)]
-    return candidates.tolist()
-
-
 def _random_order_pair(d, shared_order, rng):
     """Structure pair for graphs beyond the enumeration cap, acyclic by
     construction: each DAG takes only edges that point forward in its own
@@ -193,13 +162,7 @@ def sample_compatible_pair(d, shared_order=False, seed=0):
     """
     rng = np.random.default_rng(seed)
     if len(d.vertices) <= VERTEX_CAP:
-        n, index, d_mask = _checked_setup(d, shared_order)
-        candidates = _compatible_masks(n, d_mask, shared_order)
-        g1_mask = int(candidates[rng.integers(len(candidates))])
-        partners = _partner_masks(d, index, d_mask, g1_mask, shared_order)
-        g2_mask = partners[int(rng.integers(len(partners)))]
-        g1 = _dag_from_mask(d.vertices, g1_mask)
-        g2 = _dag_from_mask(d.vertices, g2_mask)
+        g1, g2 = draw_compatible_dags(d, shared_order, rng)
     else:
         check_shared_order(d, shared_order)
         g1, g2 = _random_order_pair(d, shared_order, rng)

@@ -243,6 +243,19 @@ def test_change_names_a_missing_exposure_column(graph_1h, tmp_path, capsys):
     assert captured.err == "error: unknown variable 'X'\n"
 
 
+def test_a_discrete_code_above_two_to_the_53_exits_1(tmp_path, capsys):
+    graph, csv = tmp_path / "d.txt", tmp_path / "big.csv"
+    graph.write_text("X -> Y\n")
+    csv.write_text("X,Y\n0,1e19\n1,0\n0,0\n1,1\n")
+    assert main(["estimate-total", "--graph", str(graph), "--exposure", "X",
+                 "--outcome", "Y", "--shared-order",
+                 "--data1", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {csv}: discrete codes must be at most "
+                            "2**53, got 1e+19 at row 1, column 'Y'\n")
+
+
 def test_byte_order_marks_are_not_part_of_names(tmp_path, capsys):
     graph = tmp_path / "bom.txt"
     graph.write_text("\ufeff" + DG_1H.to_edge_list(), encoding="utf-8")

@@ -56,6 +56,30 @@ def test_dataset_validation():
                 DISCRETE)
 
 
+def test_rows_must_form_a_matrix():
+    with pytest.raises(ValueError,
+                       match=r"^rows must be a matrix, got shape \(3,\)$"):
+        Dataset(["X"], [1, 2, 3], DISCRETE)
+
+
+def test_discrete_codes_above_two_to_the_53_are_rejected(tmp_path):
+    """A float64 holds every integer up to 2**53 exactly; 1e19 would cast
+    to a negative code."""
+    for big, shown in (("1e19", "1e+19"),
+                       ("9007199254740994", "9.0072e+15")):
+        path = tmp_path / "big.csv"
+        path.write_text(f"X,Y\n0,{big}\n1,0\n0,0\n1,1\n")
+        with pytest.raises(ValueError) as exc_info:
+            Dataset.from_csv(path, DISCRETE)
+        assert str(exc_info.value) == (
+            f"{path}: discrete codes must be at most 2**53, got {shown} at "
+            "row 1, column 'Y'")
+    largest = Dataset(["X"], [[0], [2.0 ** 53]], DISCRETE)
+    assert largest.codes("X").tolist() == [0, 2 ** 53]
+    # continuous data keeps any finite value
+    assert Dataset(["X"], [[1e19]], CONTINUOUS).column("X")[0] == 1e19
+
+
 def test_an_empty_dataset_is_rejected_on_construction():
     """Zero rows fail in the constructor, not inside an estimator; rows
     without columns are a width error."""
@@ -577,6 +601,25 @@ def test_interventional_table_validation():
                             np.array([[np.nan, np.nan], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="shape"):
         InterventionalTable((0, 1), (0, 1), np.array([[1.0]]))
+
+
+def test_formatters_print_one_row_per_grid_cell():
+    table = InterventionalTable(
+        (0, 1), (0, 1, 2), np.array([[0.25, 0.5, 0.25], [0.125, 0.375, 0.5]]))
+    assert format_interventional_table(table, "X", "Y") == (
+        "X  Y  P(Y|do(X))\n"
+        "0  0  0.250000\n0  1  0.500000\n0  2  0.250000\n"
+        "1  0  0.125000\n1  1  0.375000\n1  2  0.500000")
+    data1 = _discrete(None, W1=[0] * 4, X=[0, 0, 1, 1], Y=[0, 1, 1, 1])
+    data2 = _discrete(None, W1=[0] * 4, X=[0, 0, 1, 1], Y=[0, 0, 0, 1])
+    report = causal_change(_total_verdict(), data1, data2, "X", "Y")
+    assert format_change_report(report, "X", "Y") == (
+        "total causal change for X -> Y (adjustment set: W1)\n"
+        "X  Y  P1(y|do(x))  P2(y|do(x))  change\n"
+        "0  0  0.500000     1.000000     -0.500000\n"
+        "0  1  0.500000     0.000000     0.500000\n"
+        "1  0  0.000000     0.500000     -0.500000\n"
+        "1  1  1.000000     0.500000     0.500000")
 
 
 def test_formatters_produce_readable_tables():

@@ -38,6 +38,17 @@ def test_duplicate_vertices_and_edges_collapse():
     assert g.edges == frozenset([("A", "B")])
 
 
+def test_graphs_print_hash_and_compare_by_vertices_and_edges():
+    g = CausalDag(vertices=["B", "A"], edges=[("A", "B")])
+    same = CausalDag(vertices=["B", "A"], edges=[("A", "B")])
+    assert repr(g) == "CausalDag(vertices=['B', 'A'], edges=[A->B])"
+    assert repr(DifferenceGraph(vertices=["X"])) \
+        == "DifferenceGraph(vertices=['X'], edges=[])"
+    assert hash(g) == hash(same) and len({g, same}) == 1
+    assert g != CausalDag(vertices=["A", "B"], edges=[("A", "B")])
+    assert g != "A -> B" and g.__eq__("A -> B") is NotImplemented
+
+
 def test_self_loop_rejected():
     with pytest.raises(ValueError, match="self-loop"):
         DifferenceGraph(edges=[("A", "A")])

@@ -25,6 +25,7 @@ from diffgraph import (
     oracle_total,
     single_door_admissible,
 )
+from diffgraph.figures import _verdict_cell
 from helpers import DG_1C, DG_1H, DG_1M, DG_2C, DG_2F, DG_2K, all_dags
 
 
@@ -135,6 +136,15 @@ def test_direct_general_null_condition():
     v = identify_direct(_q(DG_2F, "W2", "X"))
     assert v.kind == NULL_EFFECT
     assert v.condition == "D.1"
+
+
+def test_gallery_cell_of_a_null_verdict_names_its_clause():
+    d = DifferenceGraph(vertices=["X", "Y"], edges=[("X", "Y")])
+    cells = [_verdict_cell(identify(EffectQuery(d, "Y", "X", shared)))
+             for shared in (True, False)
+             for identify in (identify_total, identify_direct)]
+    assert cells == ["null effect (A.1)", "null effect (C.1)",
+                     "null effect (B.1)", "null effect (D.1)"]
 
 
 def test_empty_adjustment_set_formula():

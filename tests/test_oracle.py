@@ -172,6 +172,38 @@ def test_oracle_total_null_effect_consistency():
         assert "X" not in g.descendants("Y") - {"Y"}
 
 
+def _null_check_corpus():
+    """All 64 three-vertex difference graphs and 200 seeded four-vertex
+    ones."""
+    for names, picks in ((("A", "B", "C"), range(1 << 6)),
+                         (("A", "B", "C", "D"),
+                          random.Random(11).sample(range(1 << 12), 200))):
+        pairs = list(itertools.permutations(names, 2))
+        yield from (DifferenceGraph(vertices=names, edges=[
+            p for k, p in enumerate(pairs) if bits >> k & 1])
+            for bits in picks)
+
+
+def test_null_verdicts_match_reach_and_edges_of_the_compatible_dags():
+    """NullEffect exactly when no compatible DAG has a directed path from
+    x to y (total) or the edge x -> y (direct), read off the enumerated
+    CausalDag objects."""
+    nulls = {TOTAL: 0, DIRECT: 0}
+    for d in _null_check_corpus():
+        for shared in (False, True)[:1 + d.is_acyclic()]:
+            dags = enumerate_compatible_dags(d, shared_order=shared)
+            edges = frozenset().union(*(g.edges for g in dags))
+            for x, y in itertools.permutations(d.vertices, 2):
+                reached = any(y in g.descendants(x) for g in dags)
+                total = oracle_total(d, x, y, shared_order=shared)
+                direct = oracle_direct(d, x, y, shared_order=shared)
+                assert (total.kind == NULL_EFFECT) != reached, (d, x, y)
+                assert (direct.kind == NULL_EFFECT) == ((x, y) not in edges)
+                nulls[TOTAL] += total.kind == NULL_EFFECT
+                nulls[DIRECT] += direct.kind == NULL_EFFECT
+    assert min(nulls.values()) > 0
+
+
 def _admissible_family(g, x, y, criterion):
     rest = [v for v in g.vertices if v not in (x, y)]
     family = set()

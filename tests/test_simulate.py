@@ -17,8 +17,8 @@ from diffgraph import (
     sample_dataset,
     shares_topological_order,
 )
-from diffgraph.oracle import _checked_setup, _compatible_masks, _is_dag
-from diffgraph.simulate import SEPARATION_MARGIN, UNIFORM, _partner_masks
+from diffgraph.oracle import _checked_setup, _is_dag, _partner_masks
+from diffgraph.simulate import SEPARATION_MARGIN, UNIFORM
 from helpers import DG_1C, DG_1H, DG_1M, DG_2C, DG_2F, DG_2K, is_compatible_pair
 
 GALLERY = {"1c": DG_1C, "1h": DG_1H, "1m": DG_1M,
@@ -48,6 +48,16 @@ def test_scm_pair_rejects_mismatched_difference():
     d = DifferenceGraph(vertices=["X", "Y"], edges=[("X", "Y")])
     with pytest.raises(ValueError):
         ScmPair(scm1, scm2, d)  # equal coefficients: no difference realized
+
+
+def test_scm_pair_rejects_changes_closer_than_the_margin():
+    dag = CausalDag(edges=[("X", "Y")])
+    scm1 = LinearScm(dag, coefficients={("X", "Y"): 0.5})
+    scm2 = LinearScm(dag, coefficients={("X", "Y"): 0.625})
+    d = DifferenceGraph(vertices=["X", "Y"], edges=[("X", "Y")])
+    with pytest.raises(ValueError, match=r"^changed coefficient on "
+                       r"\('X', 'Y'\) separated by only 0\.125$"):
+        ScmPair(scm1, scm2, d)
 
 
 def test_recompute_difference_graph_by_hand():
@@ -88,8 +98,8 @@ def test_shared_order_partners_are_every_subset_of_shared_d_edges():
     for d in GALLERY.values():
         if not d.is_acyclic():
             continue
-        n, index, d_mask = _checked_setup(d, True)
-        for g1 in _compatible_masks(n, d_mask, True).tolist():
+        n, index, d_mask, compatible = _checked_setup(d, True)
+        for g1 in compatible.tolist():
             partners = _partner_masks(d, index, d_mask, g1, True)
             assert len(set(partners)) == len(partners) \
                 == 2 ** bin(g1 & d_mask).count("1"), (d, g1)
@@ -185,6 +195,14 @@ def test_ground_truth_direct_is_bit_exact():
         assert ground_truth_direct(scm, "X", "Y") == alpha
     with pytest.raises(KeyError):
         ground_truth_direct(pair.scm1, "X", "Z")
+
+
+def test_ground_truth_total_linear_rejects_an_unknown_vertex():
+    scm = LinearScm(CausalDag(edges=[("X", "Y")]),
+                    coefficients={("X", "Y"): 2.0})
+    for x, y in (("Z", "Y"), ("X", "Z")):
+        with pytest.raises(KeyError, match="unknown vertex 'Z'"):
+            ground_truth_total_linear(scm, x, y)
 
 
 def test_ground_truth_total_linear_sums_paths():
