@@ -58,6 +58,8 @@ def _graph_flags(sub, with_query=True):
     if with_query:
         sub.add_argument("--exposure", required=True, metavar="X")
         sub.add_argument("--outcome", required=True, metavar="Y")
+        # a query verb without data flags names no data file
+        sub.set_defaults(data1=None, data2=None)
     sub.add_argument("--shared-order", action="store_true",
                      help="assume both models admit one topological order")
 
@@ -82,85 +84,67 @@ def _verdict_text(args, verdict):
     return head + "not identifiable from the difference graph alone"
 
 
-def _identify(args, effect):
-    d = _load_graph(args.graph)
-    q = EffectQuery(d, args.exposure, args.outcome,
-                    shared_order_assumed=args.shared_order)
-    return identify_total(q) if effect == TOTAL else identify_direct(q)
-
-
-def _exit_code(verdict):
-    return (EXIT_NOT_IDENTIFIABLE if verdict.kind == NOT_IDENTIFIABLE
-            else EXIT_OK)
-
-
-def _emit_verdict(args, verdict):
-    _emit(args, verdict.as_dict(), _verdict_text(args, verdict))
-    return _exit_code(verdict)
-
-
-def _cmd_check(args, effect):
-    return _emit_verdict(args, _identify(args, effect))
-
-
-def _cmd_oracle(args, effect):
-    d = _load_graph(args.graph)
-    fn = oracle_total if effect == TOTAL else oracle_direct
-    verdict = fn(d, args.exposure, args.outcome,
-                 shared_order=args.shared_order)
+def _oracle_text(args, verdict):
     mode = "shared-order" if args.shared_order else "general"
-    head = (f"oracle ({mode} mode), {effect} effect of "
+    head = (f"oracle ({mode} mode), {verdict.effect} effect of "
             f"{args.exposure} on {args.outcome}: ")
     if verdict.kind == NULL_EFFECT:
-        text = head + f"null effect in every compatible model; {verdict.formula}"
-    elif verdict.kind == ADJUSTMENT_IDENTIFIABLE:
+        return head + ("null effect in every compatible model; "
+                       f"{verdict.formula}")
+    if verdict.kind == ADJUSTMENT_IDENTIFIABLE:
         members = ", ".join(verdict.adjustment_set)
-        text = head + (f"identifiable; {{{members}}} is admissible in every "
+        return head + (f"identifiable; {{{members}}} is admissible in every "
                        f"compatible model; {verdict.formula}")
-    else:
-        text = head + ("not identifiable: no single adjustment set serves "
-                       "every compatible model")
-        if verdict.witness is not None:
-            for i, g in enumerate(verdict.witness, start=1):
-                body = "    ".join(g.to_edge_list().splitlines(True))
-                text += f"\nwitness model {i}:\n    {body.rstrip()}"
-    _emit(args, verdict.as_dict(), text)
-    return _exit_code(verdict)
+    text = head + ("not identifiable: no single adjustment set serves "
+                   "every compatible model")
+    for i, g in enumerate(verdict.witness or (), start=1):
+        body = "    ".join(g.to_edge_list().splitlines(True))
+        text += f"\nwitness model {i}:\n    {body.rstrip()}"
+    return text
 
 
-def _cmd_estimate(args, effect):
+def _query(args, effect, oracle=False):
+    """Decide one query and print the verdict, then estimate from the data
+    files the command names.
+
+    ``check-*`` decide with the closed form and ``oracle-*`` with the
+    brute-force oracle, which prints its own text (witness models
+    included); neither takes data.  ``estimate-*`` and ``change`` decide
+    with the closed form too.  A NotIdentifiable verdict is printed alone
+    (exit 2).  Otherwise ``--data1`` (and for ``change`` also ``--data2``)
+    is read as the effect's data kind and estimated by
+    :func:`estimate_effect` (one dataset) or :func:`causal_change` (two),
+    printed after the verdict line.  The graph is read before any CSV file.
+    """
+    d = _load_graph(args.graph)
     x, y = args.exposure, args.outcome
-    verdict = _identify(args, effect)
-    if verdict.kind == NOT_IDENTIFIABLE:
-        return _emit_verdict(args, verdict)
-    data = Dataset.from_csv(args.data1, EFFECT_KIND[effect])
-    estimate = estimate_effect(verdict, data, x, y, laplace=args.laplace)
-    if effect == TOTAL:
-        shown = format_interventional_table(estimate, x, y)
-        doc = estimate.as_dict()
+    if oracle:
+        decide = oracle_total if effect == TOTAL else oracle_direct
+        verdict = decide(d, x, y, shared_order=args.shared_order)
+        text = _oracle_text(args, verdict)
     else:
-        shown = f"alpha({x}->{y}) estimate: {estimate:.6f}"
-        doc = estimate
-    _emit(args, {"verdict": verdict.as_dict(), "estimate": doc},
-          _verdict_text(args, verdict) + "\n" + shown)
-    return EXIT_OK
-
-
-def _cmd_change(args):
-    effect = TOTAL if args.discrete else DIRECT
-    verdict = _identify(args, effect)
-    if verdict.kind == NOT_IDENTIFIABLE:
-        return _emit_verdict(args, verdict)
-    kind = EFFECT_KIND[effect]
-    data1 = Dataset.from_csv(args.data1, kind)
-    data2 = Dataset.from_csv(args.data2, kind)
-    report = causal_change(verdict, data1, data2, args.exposure,
-                           args.outcome, laplace=args.laplace)
-    text = (_verdict_text(args, verdict) + "\n"
-            + format_change_report(report, args.exposure, args.outcome))
-    _emit(args, {"verdict": verdict.as_dict(), "report": report.as_dict()},
-          text)
-    return EXIT_OK
+        q = EffectQuery(d, x, y, shared_order_assumed=args.shared_order)
+        verdict = identify_total(q) if effect == TOTAL else identify_direct(q)
+        text = _verdict_text(args, verdict)
+    doc = verdict.as_dict()
+    paths = [path for path in (args.data1, args.data2) if path is not None]
+    if paths and verdict.kind != NOT_IDENTIFIABLE:
+        data = [Dataset.from_csv(path, EFFECT_KIND[effect]) for path in paths]
+        if len(data) == 2:
+            report = causal_change(verdict, *data, x, y, laplace=args.laplace)
+            doc = {"verdict": doc, "report": report.as_dict()}
+            text += "\n" + format_change_report(report, x, y)
+        elif effect == TOTAL:
+            table = estimate_effect(verdict, *data, x, y, laplace=args.laplace)
+            doc = {"verdict": doc, "estimate": table.as_dict()}
+            text += "\n" + format_interventional_table(table, x, y)
+        else:
+            alpha = estimate_effect(verdict, *data, x, y)
+            doc = {"verdict": doc, "estimate": alpha}
+            text += f"\nalpha({x}->{y}) estimate: {alpha:.6f}"
+    _emit(args, doc, text)
+    return (EXIT_NOT_IDENTIFIABLE if verdict.kind == NOT_IDENTIFIABLE
+            else EXIT_OK)
 
 
 def _cmd_simulate(args):
@@ -211,14 +195,14 @@ def build_parser():
         p = sub.add_parser(name, help=f"closed-form {effect}-effect verdict")
         _graph_flags(p)
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=lambda a, e=effect: _cmd_check(a, e))
+        p.set_defaults(func=lambda a, e=effect: _query(a, e))
 
     for name, effect in (("oracle-total", TOTAL), ("oracle-direct", DIRECT)):
         p = sub.add_parser(name, help=f"brute-force {effect}-effect verdict "
                                       "(5-vertex cap)")
         _graph_flags(p)
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=lambda a, e=effect: _cmd_oracle(a, e))
+        p.set_defaults(func=lambda a, e=effect: _query(a, e, oracle=True))
 
     for name, effect, summary in (
             ("estimate-total", TOTAL, "estimate P(y|do(x)) from one dataset"),
@@ -230,8 +214,7 @@ def build_parser():
         if effect == TOTAL:
             p.add_argument("--laplace", type=float, metavar="ALPHA")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=lambda a, e=effect: _cmd_estimate(a, e),
-                       laplace=None)
+        p.set_defaults(func=lambda a, e=effect: _query(a, e))
 
     p = sub.add_parser("change",
                        help="estimate the causal change between two "
@@ -247,7 +230,7 @@ def build_parser():
                       help="datasets hold real-valued columns")
     p.add_argument("--laplace", type=float, metavar="ALPHA")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_change)
+    p.set_defaults(func=lambda a: _query(a, TOTAL if a.discrete else DIRECT))
 
     p = sub.add_parser("simulate",
                        help="draw a compatible linear-SCM pair and sample "

@@ -31,6 +31,12 @@ EFFECT_KIND = {TOTAL: DISCRETE, DIRECT: CONTINUOUS}
 RANK_TOLERANCE = 1e-10
 ROW_SUM_TOLERANCE = 1e-9
 
+# The discrete estimators count the rows in one int64 array of
+# strata * exposure levels * outcome levels cells, the levels running up
+# to the largest code.  2**24 cells is 128 MiB of counts; a larger grid is
+# refused before it is allocated.
+_GRID_CELLS = 2 ** 24
+
 
 class PositivityError(ValueError):
     """An observed adjustment stratum has no data for some exposure value,
@@ -55,9 +61,9 @@ class Dataset:
     variable_names : sequence of str
     rows : array-like, shape (N, len(variable_names))
     kind : {"discrete", "continuous"}
-        Discrete data must be non-negative integer codes of at most 2**53,
-        up to which a float holds every integer exactly; the cardinality of
-        a variable is one plus its largest observed code.
+        Discrete data must be non-negative integer codes below 2**53, below
+        which a float holds every integer exactly; the cardinality of a
+        variable is one plus its largest observed code.
 
     A bad cell is reported by the first one in row-major order, as "row r,
     column 'name'" with rows counted from 1.
@@ -91,10 +97,11 @@ class Dataset:
                 raise ValueError(
                     "discrete data must be non-negative integer codes, got "
                     f"{data[bad][0]:g} at {_first_cell(names, bad)}")
-            if data.max(initial=0) > 2.0 ** 53:
-                big = data > 2.0 ** 53
+            if data.max(initial=0) >= 2.0 ** 53:
+                big = data >= 2.0 ** 53
                 raise ValueError(
-                    "discrete codes must be at most 2**53, got "
+                    "discrete codes must be below 2**53, below which a float "
+                    "holds every integer exactly, got "
                     f"{data[big][0]:g} at {_first_cell(names, big)}")
         self.variable_names = names
         self.rows = data
@@ -301,8 +308,15 @@ def _joint_counts(data, x, y, w, laplace, exposure_levels, outcome_levels):
         levels, code = np.unique(data.codes(v), return_inverse=True)
         stratum = np.unique(stratum * len(levels) + code,
                             return_inverse=True)[1]
+    strata = int(stratum.max()) + 1
+    if strata * kx * ky > _GRID_CELLS:
+        v, k = max((x, kx), (y, ky), key=lambda level: level[1])
+        raise ValueError(
+            f"counting needs {strata} strata x {kx} x {ky} levels, more than "
+            f"2**24 cells: column {v!r} has codes up to {k - 1} (relabel "
+            "sparse codes as 0, 1, 2, ...)")
     counts = np.bincount((stratum * kx + xcol) * ky + ycol,
-                         minlength=(stratum.max() + 1) * kx * ky)
+                         minlength=strata * kx * ky)
     return w, stratum, counts.reshape(-1, kx, ky)
 
 

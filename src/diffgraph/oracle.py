@@ -195,12 +195,7 @@ def back_door_admissible(g, x, y, w):
     ``w`` blocks every x-y path with an arrow into ``x``; the blocking test
     is d-separation in the graph with all edges out of ``x`` removed.
     """
-    w = frozenset(w)
-    if w & (g.descendants(x) - {x}):
-        return False
-    pruned = CausalDag(vertices=g.vertices,
-                       edges=[e for e in g.edges if e[0] != x])
-    return pruned.d_separated(x, y, w)
+    return _criterion(g, x, y, w, x, [e for e in g.edges if e[0] != x])
 
 
 def single_door_admissible(g, x, y, w):
@@ -210,12 +205,16 @@ def single_door_admissible(g, x, y, w):
     ``w`` d-separates ``x`` from ``y`` in the graph with the edge x -> y
     (when present) removed.
     """
+    return _criterion(g, x, y, w, y, g.edges - {(x, y)})
+
+
+def _criterion(g, x, y, w, pivot, edges):
+    """No member of ``w`` is a strict descendant of ``pivot`` in g, and
+    ``w`` d-separates x from y in g cut down to ``edges``."""
     w = frozenset(w)
-    if w & (g.descendants(y) - {y}):
+    if w & (g.descendants(pivot) - {pivot}):
         return False
-    pruned = CausalDag(vertices=g.vertices,
-                       edges=g.edges - {(x, y)})
-    return pruned.d_separated(x, y, w)
+    return CausalDag(vertices=g.vertices, edges=edges).d_separated(x, y, w)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ import pytest
 
 from diffgraph import (
     ADJUSTMENT_IDENTIFIABLE,
+    DIRECT,
     DISCRETE,
     NOT_IDENTIFIABLE,
     NULL_EFFECT,
+    TOTAL,
     CausalDag,
     Dataset,
     DifferenceGraph,
@@ -42,6 +44,7 @@ from diffgraph import (
     single_door_admissible,
 )
 
+from diffgraph.oracle import _admissible_families, _checked_setup
 from helpers import d_separated_by_paths, is_compatible_pair
 
 
@@ -202,6 +205,65 @@ def test_adjustment_sets_admissible_in_every_compatible_dag():
     assert total == 0, (
         f"{total} of {audited} closed-form adjustment sets are inadmissible "
         f"in at least one compatible DAG\n" + _bucket_report(counts, examples))
+
+
+FIVE_VERTEX_SAMPLE = 150
+
+
+def test_closed_form_is_sound_on_five_vertices():
+    """Up to 4 vertices the reach search is exact and the scan above
+    compares every verdict; at 5 it may over-report reach, so the closed
+    form may miss a verdict.  Whatever it does decide must hold: its kind
+    is the oracle's, and its adjustment set passes the effect's criterion
+    in every compatible DAG.  Edge densities vary per graph so that both
+    regimes get acyclic and cyclic D."""
+    names = ("A", "B", "C", "D", "E")
+    pairs = list(itertools.permutations(names, 2))
+    rng = np.random.default_rng(CORPUS_SEED)
+    decided = audited = 0
+    for _ in range(FIVE_VERTEX_SAMPLE):
+        keep = rng.random(len(pairs)) < rng.uniform(0.05, 0.4)
+        d = DifferenceGraph(vertices=names,
+                            edges=[e for e, k in zip(pairs, keep) if k])
+        for shared in (False, True) if d.is_acyclic() else (False,):
+            n, index, _, masks = _checked_setup(d, shared)
+            for x, y in itertools.permutations(names, 2):
+                q = EffectQuery(d, x, y, shared_order_assumed=shared)
+                for identify, oracle, effect in (
+                        (identify_total, oracle_total, TOTAL),
+                        (identify_direct, oracle_direct, DIRECT)):
+                    verdict = identify(q)
+                    if verdict.kind == NOT_IDENTIFIABLE:
+                        continue
+                    decided += 1
+                    case = f"D={sorted(d.edges)} shared={shared} {x}->{y}"
+                    truth = oracle(d, x, y, shared_order=shared)
+                    assert verdict.kind == truth.kind, (
+                        f"{case}: closed-form {verdict.kind} "
+                        f"({verdict.condition}), oracle {truth.kind}")
+                    if verdict.kind != ADJUSTMENT_IDENTIFIABLE:
+                        continue
+                    audited += 1
+                    families = _admissible_families(
+                        n, masks, index[x], index[y], effect)
+                    w = sum(1 << index[v] for v in verdict.adjustment_set)
+                    assert np.all(families >> w & 1), (
+                        f"{case}: W={verdict.adjustment_set} fails in "
+                        f"{np.count_nonzero(families >> w & 1 == 0)} of "
+                        f"{len(masks)} compatible DAGs")
+    assert decided >= 1000 and audited >= 100
+
+
+def test_closed_form_misses_a_null_total_effect_on_five_vertices():
+    """A known miss of the general-regime reach search (ROADMAP item 2):
+    no compatible DAG has a path from E to A, but the search's walk may
+    repeat vertices and reports reach.  An exact reach test flips this to
+    NullEffect."""
+    d = DifferenceGraph(vertices=("A", "B", "C", "D", "E"),
+                        edges=[("A", "D"), ("A", "E"), ("B", "C"),
+                               ("B", "E"), ("C", "D")])
+    assert identify_total(EffectQuery(d, "E", "A")).kind == NOT_IDENTIFIABLE
+    assert oracle_total(d, "E", "A").kind == NULL_EFFECT
 
 
 # --------------------------------------------------------------------------

@@ -252,8 +252,24 @@ def test_a_discrete_code_above_two_to_the_53_exits_1(tmp_path, capsys):
                  "--data1", str(csv)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: {csv}: discrete codes must be at most "
-                            "2**53, got 1e+19 at row 1, column 'Y'\n")
+    assert captured.err == (f"error: {csv}: discrete codes must be below "
+                            "2**53, below which a float holds every integer "
+                            "exactly, got 1e+19 at row 1, column 'Y'\n")
+
+
+def test_a_count_grid_above_two_to_the_24_cells_exits_1(tmp_path, capsys):
+    graph, csv = tmp_path / "d.txt", tmp_path / "wide.csv"
+    graph.write_text("X -> Y\n")
+    csv.write_text("X,Y\n0,3000000000\n1,0\n0,1\n1,1\n")
+    assert main(["estimate-total", "--graph", str(graph), "--exposure", "X",
+                 "--outcome", "Y", "--shared-order",
+                 "--data1", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: counting needs 1 strata x 2 x 3000000001 levels, more than "
+        "2**24 cells: column 'Y' has codes up to 3000000000 (relabel sparse "
+        "codes as 0, 1, 2, ...)\n")
 
 
 def test_byte_order_marks_are_not_part_of_names(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Plug-in adjustment, regression, and two-population change estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,19 +65,22 @@ def test_rows_must_form_a_matrix():
 
 
 def test_discrete_codes_above_two_to_the_53_are_rejected(tmp_path):
-    """A float64 holds every integer up to 2**53 exactly; 1e19 would cast
-    to a negative code."""
+    """A float64 holds every integer below 2**53 exactly; 2**53 + 1 reads
+    as 2**53 and 1e19 would cast to a negative code."""
     for big, shown in (("1e19", "1e+19"),
-                       ("9007199254740994", "9.0072e+15")):
+                       ("9007199254740994", "9.0072e+15"),
+                       ("9007199254740993", "9.0072e+15"),
+                       ("9007199254740992", "9.0072e+15")):
         path = tmp_path / "big.csv"
         path.write_text(f"X,Y\n0,{big}\n1,0\n0,0\n1,1\n")
         with pytest.raises(ValueError) as exc_info:
             Dataset.from_csv(path, DISCRETE)
         assert str(exc_info.value) == (
-            f"{path}: discrete codes must be at most 2**53, got {shown} at "
-            "row 1, column 'Y'")
-    largest = Dataset(["X"], [[0], [2.0 ** 53]], DISCRETE)
-    assert largest.codes("X").tolist() == [0, 2 ** 53]
+            f"{path}: discrete codes must be below 2**53, below which a "
+            f"float holds every integer exactly, got {shown} at row 1, "
+            "column 'Y'")
+    largest = Dataset(["X"], [[0], [2.0 ** 53 - 1]], DISCRETE)
+    assert largest.codes("X").tolist() == [0, 2 ** 53 - 1]
     # continuous data keeps any finite value
     assert Dataset(["X"], [[1e19]], CONTINUOUS).column("X")[0] == 1e19
 
@@ -285,14 +290,41 @@ def test_large_stratum_codes_give_the_relabelled_table():
     x = rng.integers(0, 2, size=n)
     y = rng.integers(0, 3, size=n)
     relabelled = _discrete(None, w1=small[:, 0], w2=small[:, 1], x=x, y=y)
-    # order-preserving codes from 2**40 up to 2**53
+    # order-preserving codes from 2**40 up to 2**53 - 1
     large = _discrete(None, w1=2**40 + small[:, 0] * 2**45,
-                      w2=2**53 - 2 + small[:, 1], x=x, y=y)
+                      w2=2**53 - 3 + small[:, 1], x=x, y=y)
     for laplace in (None, 0.5):
         expected = adjustment_total(relabelled, "x", "y", ("w1", "w2"),
                                     laplace)
         got = adjustment_total(large, "x", "y", ("w1", "w2"), laplace)
         assert np.array_equal(got.probabilities, expected.probabilities)
+
+
+def test_a_count_grid_above_two_to_the_24_cells_is_refused():
+    """One code of 3e9 in the outcome would ask for 2 * (3e9 + 1) int64
+    counts, 44.7 GiB; the estimators refuse before allocating."""
+    data = _discrete(None, x=[0, 1, 0, 1], y=[3e9, 0, 1, 1])
+    message = ("counting needs 1 strata x 2 x 3000000001 levels, more than "
+               "2**24 cells: column 'y' has codes up to 3000000000 (relabel "
+               "sparse codes as 0, 1, 2, ...)")
+    tracemalloc.start()
+    try:
+        for estimate in (lambda: adjustment_total(data, "x", "y", ()),
+                         lambda: marginal_table(data, "x", "y")):
+            with pytest.raises(ValueError) as exc_info:
+                estimate()
+            assert str(exc_info.value) == message
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # strata count too: 5 strata x 2**11 x 2**11 levels
+    wide = _discrete(None, w=[0, 1, 2, 3, 4], x=[0, 1, 2047, 0, 1],
+                     y=[2047, 0, 1, 1, 0])
+    with pytest.raises(ValueError, match="^counting needs 5 strata x 2048 x "
+                                         "2048 levels, .* column 'x' has "
+                                         "codes up to 2047 "):
+        adjustment_total(wide, "x", "y", ("w",))
 
 
 def test_laplace_smoothing_fills_empty_cells():
