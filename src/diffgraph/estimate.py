@@ -37,6 +37,11 @@ ROW_SUM_TOLERANCE = 1e-9
 # refused before it is allocated.
 _GRID_CELLS = 2 ** 24
 
+# Strata are ranked through a table of the keys present, a flag and a count
+# per key, while the keys span at most this many per row: 36 bytes a row,
+# about what np.unique's sort takes.  Wider spans are sorted.
+_KEYS_PER_ROW = 4
+
 
 class PositivityError(ValueError):
     """An observed adjustment stratum has no data for some exposure value,
@@ -122,7 +127,7 @@ class Dataset:
 
     def cardinality(self, name):
         """1 + largest observed code of a discrete column."""
-        return int(self.codes(name).max()) + 1
+        return int(self.column(name).max()) + 1
 
     @classmethod
     def from_csv(cls, path, kind):
@@ -292,23 +297,38 @@ def _checked_inputs(data, kind, x, y, w, laplace=None):
     return w
 
 
+def _dense_rank(keys, top):
+    """Each of the non-negative ``keys``, all below ``top``, ranked among the
+    distinct keys as np.unique's inverse does, and the number of them."""
+    if top > _KEYS_PER_ROW * len(keys):
+        levels, rank = np.unique(keys, return_inverse=True)
+        return rank, len(levels)
+    present = np.zeros(top, dtype=bool)
+    present[keys] = True
+    rank = np.cumsum(present, dtype=np.int64)
+    rank -= 1
+    return rank[keys], int(rank[-1]) + 1
+
+
 def _joint_counts(data, x, y, w, laplace, exposure_levels, outcome_levels):
     """Checks for the discrete estimators, then the rows counted per
     (stratum, x, y), strata being the distinct ``w`` codes in lexicographic
-    order.  Returns ``w`` as a tuple, each row's stratum and the counts."""
+    order.  Returns ``w`` as a tuple, each row's stratum and the counts.
+    Each ``w`` column takes one linear pass while the codes are dense; a
+    sort ranks only sparse ones first.  Extra memory is O(rows)."""
     w = _checked_inputs(data, DISCRETE, x, y, w, laplace)
     xcol, ycol = data.codes(x), data.codes(y)
     kx = exposure_levels or data.cardinality(x)
     ky = outcome_levels or data.cardinality(y)
     if xcol.max() >= kx or ycol.max() >= ky:
         raise ValueError("observed codes exceed the requested level grid")
-    stratum = np.zeros(len(data), dtype=np.int64)
+    stratum, strata = np.zeros(len(data), dtype=np.int64), 1
     for v in w:
-        # Ranking after every column keeps the key below rows**2.
-        levels, code = np.unique(data.codes(v), return_inverse=True)
-        stratum = np.unique(stratum * len(levels) + code,
-                            return_inverse=True)[1]
-    strata = int(stratum.max()) + 1
+        code = data.codes(v)
+        top = int(code.max()) + 1
+        if strata * top > _KEYS_PER_ROW * len(data):
+            code, top = _dense_rank(code, top)  # keeps keys below rows**2
+        stratum, strata = _dense_rank(stratum * top + code, strata * top)
     if strata * kx * ky > _GRID_CELLS:
         v, k = max((x, kx), (y, ky), key=lambda level: level[1])
         raise ValueError(
@@ -326,6 +346,8 @@ def adjustment_total(data, x, y, w, laplace=None,
 
     Computes sum over strata of the adjustment set ``w`` of
     P-hat(y|x,w) P-hat(w) from one count of the rows per (stratum, x, y).
+    Numbering the strata takes one linear pass per column of ``w`` whose
+    codes are dense, a sort only for sparse ones, and O(rows) memory.
     Strata never observed contribute nothing; an observed stratum with no
     data at some exposure value raises PositivityError naming the first
     such cell (strata in lexicographic order of their codes), unless
@@ -342,7 +364,7 @@ def adjustment_total(data, x, y, w, laplace=None,
     m = counts.sum(axis=2, keepdims=True)
     if laplace is None and not m.all():
         s, xv, _ = np.argwhere(m == 0)[0].tolist()
-        cell = {v: int(data.codes(v)[stratum == s][0]) for v in w}
+        cell = {v: int(data.column(v)[stratum == s][0]) for v in w}
         named = ", ".join(f"{v}={c}" for v, c in cell.items())
         where = f"{x}={xv}" + (f" within stratum {named}" if w else "")
         raise PositivityError(

@@ -5,6 +5,8 @@ algorithms against a second implementation.
 
 import itertools
 
+import numpy as np
+
 from diffgraph import CausalDag, DifferenceGraph, shares_topological_order
 
 VERTICES_2 = ("X", "Y")
@@ -171,3 +173,21 @@ def d_separated_by_paths(g, x, y, w=()):
         if connecting:
             return False
     return True
+
+
+def joint_counts_by_sorting(data, x, y, w):
+    """Second stratum numbering for the discrete estimators: rank each
+    adjustment column with np.unique, then rank the combined key again, so
+    strata come out in lexicographic order of the ``w`` codes.  Returns
+    each row's stratum and the rows counted per (stratum, x, y) on the
+    observed level grid."""
+    xcol, ycol = data.codes(x), data.codes(y)
+    kx, ky = int(xcol.max()) + 1, int(ycol.max()) + 1
+    stratum = np.zeros(len(data), dtype=np.int64)
+    for v in w:
+        levels, code = np.unique(data.codes(v), return_inverse=True)
+        stratum = np.unique(stratum * len(levels) + code,
+                            return_inverse=True)[1]
+    counts = np.bincount((stratum * kx + xcol) * ky + ycol,
+                         minlength=(int(stratum.max()) + 1) * kx * ky)
+    return stratum, counts.reshape(-1, kx, ky)

@@ -26,7 +26,8 @@ from diffgraph import (
     partial_regression_coefficient,
     EffectQuery,
 )
-from helpers import DG_1H, DG_1M
+from diffgraph.estimate import _joint_counts
+from helpers import DG_1H, DG_1M, joint_counts_by_sorting
 
 
 def _discrete(columns, **named):
@@ -81,6 +82,7 @@ def test_discrete_codes_above_two_to_the_53_are_rejected(tmp_path):
             "column 'Y'")
     largest = Dataset(["X"], [[0], [2.0 ** 53 - 1]], DISCRETE)
     assert largest.codes("X").tolist() == [0, 2 ** 53 - 1]
+    assert largest.cardinality("X") == 2 ** 53
     # continuous data keeps any finite value
     assert Dataset(["X"], [[1e19]], CONTINUOUS).column("X")[0] == 1e19
 
@@ -281,6 +283,53 @@ def test_positivity_error_names_the_lexicographically_first_cell():
     assert err.exposure_value == 1
     assert str(err).startswith(
         "no observations for x=1 within stratum w1=0, w2=1;")
+
+
+def test_positivity_error_names_the_first_cell_of_sparse_codes():
+    """The twin of the test above with codes far apart, which are sorted
+    instead of tabled, names the same cell in the original codes."""
+    w1, w2 = 2 ** 53 - 2, 2 ** 40
+    data = _discrete(None, w1=[w1, w1, 7, 7, 7, 7, w1, w1],
+                     w2=[0, 0, w2, w2, 0, 0, w2, w2],
+                     x=[1, 1, 0, 0, 0, 1, 0, 1],
+                     y=[0, 1, 1, 0, 0, 1, 1, 0])
+    with pytest.raises(PositivityError) as exc_info:
+        adjustment_total(data, "x", "y", ("w1", "w2"))
+    err = exc_info.value
+    assert err.stratum == {"w1": 7, "w2": w2}
+    assert err.exposure_value == 1
+    assert str(err).startswith(
+        f"no observations for x=1 within stratum w1=7, w2={w2};")
+
+
+@st.composite
+def _coded_columns(draw):
+    """1-400 rows of small x and y codes plus 0-4 adjustment columns, each
+    drawing its levels from dense small codes or from codes up to
+    2**53 - 1."""
+    n = draw(st.integers(1, 400))
+    width = draw(st.integers(0, 4))
+    columns = {}
+    for name in [f"w{i}" for i in range(width)] + ["x", "y"]:
+        top = (draw(st.sampled_from([2, 3, 16, 4 * n + 1, 2 ** 53]))
+               if name.startswith("w") else 3)
+        levels = draw(st.lists(st.integers(0, top - 1), min_size=1,
+                               max_size=12, unique=True))
+        pick = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        columns[name] = pick.choice(levels, size=n)
+    return columns
+
+
+@settings(max_examples=200)
+@given(_coded_columns())
+def test_strata_and_counts_match_the_sorting_reference(columns):
+    data = _discrete(None, **columns)
+    w = tuple(columns)[:-2]
+    _, stratum, counts = _joint_counts(data, "x", "y", w, None, None, None)
+    want_stratum, want_counts = joint_counts_by_sorting(data, "x", "y", w)
+    assert stratum.dtype == want_stratum.dtype
+    assert np.array_equal(stratum, want_stratum)
+    assert np.array_equal(counts, want_counts)
 
 
 def test_large_stratum_codes_give_the_relabelled_table():
