@@ -14,6 +14,7 @@ Everything is a deterministic function of its inputs; there is no internal
 randomness anywhere.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,9 @@ _GRID_CELLS = 2 ** 24
 # per key, while the keys span at most this many per row: 36 bytes a row,
 # about what np.unique's sort takes.  Wider spans are sorted.
 _KEYS_PER_ROW = 4
+
+# Rows a rejected CSV file is read in while its first fault is sought.
+_FAULT_BLOCK = 1024
 
 
 class PositivityError(ValueError):
@@ -167,10 +171,10 @@ class Dataset:
             np.savetxt(fh, self.rows, fmt=fmt, delimiter=",")
 
 
-def _reads(line, usecols=None):
-    """Does numpy's CSV reader accept ``line``, or its columns ``usecols``?"""
+def _reads(lines, usecols=None):
+    """Does numpy's CSV reader accept ``lines``, or their ``usecols``?"""
     try:
-        np.loadtxt([line], delimiter=",", comments=None, usecols=usecols)
+        np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols)
     except ValueError:
         return False
     return True
@@ -180,18 +184,27 @@ def _first_fault(lines, names):
     """Why numpy's reader rejected the data ``lines`` of a CSV file whose
     header holds ``names``: the first row with the wrong number of cells,
     or the first cell that is no number.  Rows count from 1 among the
-    non-empty lines, which are the ones the reader does not skip."""
+    non-empty lines, which are the ones the reader does not skip.  Rows are
+    read in blocks, and one by one only within a block that fails, so the
+    search takes time linear in the rows."""
     rows = filter(None, (line.rstrip("\n") for line in lines))
-    for r, line in enumerate(rows, start=1):
-        cells = line.split(",")
-        if len(cells) != len(names):
-            return (f"row {r} has {len(cells)} cells but the header has "
-                    f"{len(names)} names")
-        if not _reads(line):
-            c = next(c for c in range(len(names)) if not _reads(line, c))
-            return (f"row {r}, column {names[c]!r}: {cells[c]!r} is not "
-                    "a number")
-    return None
+    for start in itertools.count(1, _FAULT_BLOCK):
+        block = list(itertools.islice(rows, _FAULT_BLOCK))
+        if not block:
+            return None
+        if (all(line.count(",") == len(names) - 1 for line in block)
+                and _reads(block)):
+            continue
+        for r, line in enumerate(block, start=start):
+            cells = line.split(",")
+            if len(cells) != len(names):
+                return (f"row {r} has {len(cells)} cells but the header has "
+                        f"{len(names)} names")
+            if not _reads([line]):
+                c = next(c for c in range(len(names))
+                         if not _reads([line], c))
+                return (f"row {r}, column {names[c]!r}: {cells[c]!r} is not "
+                        "a number")
 
 
 def _first_cell(names, bad):
@@ -202,31 +215,24 @@ def _first_cell(names, bad):
 
 @dataclass
 class InterventionalTable:
-    """P(y|do(x)) on a grid of exposure values by outcome values.
+    """P(y|do(x)) on the grid of exposure codes 0..kx-1 by outcome codes
+    0..ky-1, read off the shape of the matrix.
 
-    ``probabilities[i][j]`` is the estimated probability of outcome value
-    ``outcome_values[j]`` under do(exposure = exposure_values[i]); every row
-    sums to one.
+    ``probabilities[i][j]`` is the estimated probability of outcome code j
+    under do(exposure = i); every row sums to one.
     """
 
-    exposure_values: tuple
-    outcome_values: tuple
     probabilities: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if p.shape != (len(self.exposure_values), len(self.outcome_values)):
-            raise ValueError("probability matrix shape does not match the "
-                             "value grids")
         sums = p.sum(axis=1)
         if not np.all(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE):
             raise ValueError(f"rows must sum to 1, got {sums}")
         self.probabilities = p
 
     def as_dict(self):
-        return {"exposure_values": list(self.exposure_values),
-                "outcome_values": list(self.outcome_values),
-                "probabilities": self.probabilities.tolist()}
+        return _grid_dict("probabilities", self.probabilities)
 
 
 @dataclass
@@ -237,14 +243,17 @@ class ChangeTable:
     deliberately not an InterventionalTable.
     """
 
-    exposure_values: tuple
-    outcome_values: tuple
     values: np.ndarray
 
     def as_dict(self):
-        return {"exposure_values": list(self.exposure_values),
-                "outcome_values": list(self.outcome_values),
-                "values": self.values.tolist()}
+        return _grid_dict("values", self.values)
+
+
+def _grid_dict(key, cells):
+    """A table as JSON: the codes along each axis, and ``cells`` as ``key``."""
+    kx, ky = cells.shape
+    return {"exposure_values": list(range(kx)),
+            "outcome_values": list(range(ky)), key: cells.tolist()}
 
 
 @dataclass
@@ -375,7 +384,7 @@ def adjustment_total(data, x, y, w, laplace=None,
                    else (counts + laplace) / (m + laplace * ky))
     weight = counts.sum(axis=(1, 2)) / len(data)
     p = (weight[:, None, None] * conditional).sum(axis=0)
-    return InterventionalTable(tuple(range(kx)), tuple(range(ky)), p)
+    return InterventionalTable(p)
 
 
 def marginal_table(data, x, y, exposure_levels=None, outcome_levels=None):
@@ -384,9 +393,8 @@ def marginal_table(data, x, y, exposure_levels=None, outcome_levels=None):
     :func:`adjustment_total` with an empty adjustment set."""
     counts = _joint_counts(data, x, y, (), None,
                            exposure_levels, outcome_levels)[2]
-    _, kx, ky = counts.shape
-    p = np.tile(counts.sum(axis=(0, 1)) / len(data), (kx, 1))
-    return InterventionalTable(tuple(range(kx)), tuple(range(ky)), p)
+    p = np.tile(counts.sum(axis=(0, 1)) / len(data), (counts.shape[1], 1))
+    return InterventionalTable(p)
 
 
 def partial_regression_coefficient(data, x, y, w):
@@ -463,16 +471,14 @@ def causal_change(verdict, data1, data2, x, y, laplace=None):
     if verdict.effect == DIRECT:
         change = v1 - v2
     else:
-        change = ChangeTable(v1.exposure_values, v1.outcome_values,
-                             v1.probabilities - v2.probabilities)
+        change = ChangeTable(v1.probabilities - v2.probabilities)
     return CausalChangeReport(verdict.effect, v1, v2, change,
                               tuple(verdict.adjustment_set or ()))
 
 
 def format_interventional_table(table, x, y):
     """Aligned-column text rendering of one interventional table."""
-    return _align_grid(table, x, y,
-                       {f"P({y}|do({x}))": table.probabilities})
+    return _align_grid(x, y, {f"P({y}|do({x}))": table.probabilities})
 
 
 def format_change_report(report, x, y):
@@ -488,19 +494,18 @@ def format_change_report(report, x, y):
         ])
         return title + "\n" + body
     t1, t2 = report.population1_value, report.population2_value
-    return title + "\n" + _align_grid(t1, x, y, {
+    return title + "\n" + _align_grid(x, y, {
         "P1(y|do(x))": t1.probabilities, "P2(y|do(x))": t2.probabilities,
         "change": report.change.values})
 
 
-def _align_grid(grid, x, y, columns):
-    """One aligned row per (x, y) of the table ``grid``, with a 6-decimal
-    cell per column; ``columns`` maps each header to its array over it."""
+def _align_grid(x, y, columns):
+    """One aligned row per (x, y) code pair, with a 6-decimal cell per
+    column; ``columns`` maps each header to its array over the grid."""
     rows = [[x, y, *columns]]
-    for i, xv in enumerate(grid.exposure_values):
-        for j, yv in enumerate(grid.outcome_values):
-            rows.append([str(xv), str(yv), *(f"{cells[i, j]:.6f}"
-                                             for cells in columns.values())])
+    for i, j in np.ndindex(next(iter(columns.values())).shape):
+        rows.append([str(i), str(j), *(f"{cells[i, j]:.6f}"
+                                       for cells in columns.values())])
     return _align(rows)
 
 

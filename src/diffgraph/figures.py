@@ -4,11 +4,12 @@ Three acyclic graphs (shared-order regime, ids starting with 1) show each
 outcome of the decision procedures: no effect identifiable, only the total
 effect, and only the direct effect.  Three cyclic graphs (general regime,
 ids starting with 2) each add a cycle to one of them, and no effect of X
-on Y is identifiable in any of them: without a shared order, edges shared by both
-models may point against the difference graph, and the enumeration oracle
-finds no common adjustment set for 2f or 2k.  The six graphs are the golden
-fixtures for the acceptance suite and can be printed as a table with the
-``figures`` CLI command.
+on Y is identifiable in any of them: without a shared order, edges shared
+by both models may point against the difference graph, and the enumeration
+oracle finds no common adjustment set for 2f or 2k.  Every query asks for
+the effects of X on Y.  The six graphs are the golden fixtures for the
+acceptance suite and can be printed as a table with the ``figures`` CLI
+command.
 """
 
 from dataclasses import dataclass
@@ -29,8 +30,6 @@ class GalleryEntry:
     graph_id: str
     graph: DifferenceGraph
     shared_order: bool
-    exposure: str = "X"
-    outcome: str = "Y"
 
 
 def _entry(graph_id, vertices, edges, shared_order):
@@ -76,7 +75,7 @@ def figure_table():
     """The verdict table for the whole gallery; byte-stable across runs."""
     rows = [["id", "regime", "edges", "total effect", "direct effect"]]
     for entry in GALLERY:
-        q = EffectQuery(entry.graph, entry.exposure, entry.outcome,
+        q = EffectQuery(entry.graph, "X", "Y",
                         shared_order_assumed=entry.shared_order)
         edges = " ".join(f"{t}->{h}" for t, h in entry.graph.sorted_edges())
         rows.append([

@@ -4,7 +4,8 @@ Given a difference graph, `sample_compatible_pair` draws two linear
 structural causal models whose disagreements reproduce the graph exactly:
 changed mechanisms get coefficients at least 0.2 apart (absent edges count
 as coefficient zero), unchanged mechanisms share one coefficient to the
-bit.  `sample_dataset` then draws observational data from either model by
+bit.  Every variable takes independent standard normal noise.
+`sample_dataset` then draws observational data from either model by
 ancestral sampling.  Both are deterministic functions of their seed, so
 every simulated experiment in the test suite is replayable.
 
@@ -22,9 +23,6 @@ from .estimate import CONTINUOUS, Dataset
 from .graphs import CausalDag, DifferenceGraph, check_shared_order
 from .oracle import VERTEX_CAP, draw_compatible_dags
 
-GAUSSIAN = "gaussian"
-UNIFORM = "uniform"
-
 SEPARATION_MARGIN = 0.2
 COEFFICIENT_RANGE = (0.2, 1.0)
 
@@ -34,29 +32,18 @@ class LinearScm:
     """A causal DAG with path coefficients and independent noise.
 
     Each variable equals the coefficient-weighted sum of its parents plus
-    ``noise_scale * draw(noise_family)``.  Uniform noise is scaled to unit
-    variance before multiplying by the scale, so both families give each
-    variable the same noise variance for the same scale.
+    standard normal noise.  ``as_dict`` records that noise as a scale of 1.0
+    per vertex and the family ``"gaussian"``.
     """
 
     dag: CausalDag
     coefficients: dict
-    noise_scales: dict = None
-    noise_family: str = GAUSSIAN
 
     def __post_init__(self):
-        if self.noise_scales is None:
-            self.noise_scales = {v: 1.0 for v in self.dag.vertices}
         if set(self.coefficients) != self.dag.edges:
             raise ValueError("coefficient keys must equal the DAG edge set")
         if any(c == 0 for c in self.coefficients.values()):
             raise ValueError("path coefficients must be nonzero")
-        if set(self.noise_scales) != set(self.dag.vertices):
-            raise ValueError("noise scales must cover every vertex")
-        if any(s <= 0 for s in self.noise_scales.values()):
-            raise ValueError("noise scales must be positive")
-        if self.noise_family not in (GAUSSIAN, UNIFORM):
-            raise ValueError(f"unknown noise family {self.noise_family!r}")
 
     def as_dict(self):
         return {
@@ -64,9 +51,8 @@ class LinearScm:
             "edges": [list(e) for e in self.dag.sorted_edges()],
             "coefficients": {f"{t}->{h}": self.coefficients[(t, h)]
                              for t, h in self.dag.sorted_edges()},
-            "noise_scales": {v: self.noise_scales[v]
-                             for v in self.dag.vertices},
-            "noise_family": self.noise_family,
+            "noise_scales": {v: 1.0 for v in self.dag.vertices},
+            "noise_family": "gaussian",
         }
 
 
@@ -157,8 +143,7 @@ def sample_compatible_pair(d, shared_order=False, seed=0):
     only edges pointing forward in its own random vertex order.
     Coefficients of changed edges come from +-Uniform[0.2, 1.0], redrawn
     until the two models differ by at least the 0.2 separation margin;
-    unchanged edges share one draw.  Noise scales are 1.0.  Deterministic
-    given the seed.
+    unchanged edges share one draw.  Deterministic given the seed.
     """
     rng = np.random.default_rng(seed)
     if len(d.vertices) <= VERTEX_CAP:
@@ -194,20 +179,15 @@ def sample_dataset(scm, n, seed=0):
     """Ancestral sampling: ``n`` rows from the SCM, deterministic per seed.
 
     Vertices are evaluated in topological order; each equals the weighted
-    sum of its sampled parents plus scaled noise.  Columns follow the DAG's
-    vertex order.
+    sum of its sampled parents plus a standard normal draw.  Columns follow
+    the DAG's vertex order.
     """
     if n < 1:
         raise ValueError("need at least one row")
     rng = np.random.default_rng(seed)
     values = {}
-    root3 = np.sqrt(3.0)
     for v in scm.dag.topological_order():
-        if scm.noise_family == GAUSSIAN:
-            noise = rng.standard_normal(n)
-        else:
-            noise = rng.uniform(-root3, root3, n)
-        total = scm.noise_scales[v] * noise
+        total = rng.standard_normal(n)
         for p in scm.dag.parents(v):
             total = total + scm.coefficients[(p, v)] * values[p]
         values[v] = total

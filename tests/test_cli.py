@@ -189,6 +189,32 @@ def test_estimate_total_null_effect_uses_marginal(graph_1h, tmp_path,
     assert np.array_equal(probs[1], marginal)
 
 
+@pytest.mark.parametrize("exposure,outcome,condition",
+                         [("X", "Y", "A.2"), ("Y", "X", "A.1")])
+def test_total_json_carries_the_aligned_code_grid(tmp_path, capsys, exposure,
+                                                  outcome, condition):
+    # Y takes codes 0..3 in population 1 but only 0..1 in population 2
+    graph, csv1, csv2 = (tmp_path / name for name in ("d.txt", "1.csv",
+                                                      "2.csv"))
+    graph.write_text("X -> Y\n")
+    csv1.write_text("X,Y\n0,0\n0,3\n1,2\n1,1\n0,1\n")
+    csv2.write_text("X,Y\n0,0\n1,1\n1,0\n0,1\n")
+    grid = {"X": [0, 1], "Y": [0, 1, 2, 3]}
+    keys = {"exposure_values": grid[exposure],
+            "outcome_values": grid[outcome]}
+    query = ["--graph", str(graph), "--exposure", exposure, "--outcome",
+             outcome, "--shared-order", "--data1", str(csv1), "--json"]
+    assert main(["estimate-total"] + query) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"]["condition"] == condition
+    assert {k: doc["estimate"][k] for k in keys} == keys
+    assert main(["change", "--discrete", "--data2", str(csv2)] + query) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    for part in ("population1_value", "population2_value", "change"):
+        assert {k: report[part][k] for k in keys} == keys, part
+        assert all(type(v) is int for k in keys for v in report[part][k])
+
+
 def test_total_null_effect_rejects_a_nonpositive_laplace(graph_1h, tmp_path,
                                                         capsys):
     csv = tmp_path / "d.csv"
@@ -434,6 +460,22 @@ def test_simulate_is_reproducible(graph_1h, tmp_path, capsys):
     mb = json.loads((b / "manifest.json").read_text())
     ma["datasets"] = mb["datasets"] = None  # embeds the --out paths
     assert ma == mb
+
+
+def test_simulate_json_records_unit_gaussian_noise(graph_1h, tmp_path,
+                                                   capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--graph", graph_1h, "--shared-order", "--seed",
+                 "5", "--n", "20", "--out", str(out), "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert printed == manifest
+    for scm in ("scm1", "scm2"):
+        doc = manifest[scm]
+        assert doc["noise_family"] == "gaussian"
+        assert list(doc["noise_scales"]) == doc["vertices"]
+        assert all(type(s) is float and s == 1.0
+                   for s in doc["noise_scales"].values())
 
 
 def test_figures_matches_golden_bytes(capsys):

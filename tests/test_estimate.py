@@ -145,6 +145,10 @@ def test_from_csv_rejects_junk(tmp_path):
              "row 2, column 'Y': '4#junk' is not a number"),
             ("X,Y\n0,1\n\n1\n",
              "row 2 has 1 cells but the header has 2 names"),
+            # a line of whitespace is a row, unlike an empty line
+            ("X,Y\n0,1\n \t\n",
+             "row 2 has 1 cells but the header has 2 names"),
+            ("X\n0\n\n  \n", "row 2, column 'X': '  ' is not a number"),
             # every row equally wide, but not as wide as the header
             ("X,Y\n1,2,3\n", "row 1 has 3 cells but the header has 2 names"),
             ("X,Y\n1,2\n3\n", "row 2 has 1 cells but the header has 2 names"),
@@ -156,6 +160,22 @@ def test_from_csv_rejects_junk(tmp_path):
             Dataset.from_csv(path, DISCRETE)
         assert str(exc_info.value).startswith(f"{path}: ")
         assert message in str(exc_info.value)
+
+
+@pytest.mark.parametrize("row", [1024, 1025, 2049, 3000])
+def test_from_csv_names_the_first_fault_past_the_first_block(tmp_path, row):
+    for fault, message in (
+            ("1,x,3", f"row {row}, column 'B': 'x' is not a number"),
+            ("1,2", f"row {row} has 2 cells but the header has 3 names"),
+            ("   ", f"row {row} has 1 cells but the header has 3 names")):
+        # empty lines are no rows; a later fault is not the one named
+        lines = (["A,B,C", ""] + ["1,2,3"] * (row - 1) + ["", fault]
+                 + ["4,5,6"] * 1500 + ["1,y"])
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc_info:
+            Dataset.from_csv(path, CONTINUOUS)
+        assert str(exc_info.value) == f"{path}: {message}"
 
 
 _CSV_NAMES = st.lists(st.sampled_from(["X", "Y", "W1", "W2", "Z"]),
@@ -390,7 +410,6 @@ def test_laplace_smoothing_fills_empty_cells():
 def test_requested_level_grid_extends_the_table():
     data = _discrete(None, x=[0, 0, 1], y=[0, 1, 1])
     table = adjustment_total(data, "x", "y", (), outcome_levels=3)
-    assert table.outcome_values == (0, 1, 2)
     assert table.probabilities.shape == (2, 3)
     assert table.probabilities[0][2] == 0.0
     with pytest.raises(ValueError, match="exceed"):
@@ -559,8 +578,7 @@ def test_causal_change_total_uses_common_level_grid():
         EffectQuery(two, "X", "Y", shared_order_assumed=True))
     report = causal_change(verdict, p1, p2, "X", "Y")
     t1, t2 = report.population1_value, report.population2_value
-    assert t1.outcome_values == (0, 1, 2)
-    assert t2.outcome_values == (0, 1, 2)
+    assert t1.probabilities.shape == t2.probabilities.shape == (2, 3)
     assert t2.probabilities[0][2] == 0.0
     assert report.change.values.shape == (2, 3)
     assert np.allclose(report.change.values.sum(axis=1), 0.0)
@@ -675,18 +693,14 @@ def test_causal_change_matches_datasets_by_variable_name():
 
 def test_interventional_table_validation():
     with pytest.raises(ValueError, match="sum to 1"):
-        InterventionalTable((0, 1), (0, 1),
-                            np.array([[0.5, 0.4], [0.5, 0.5]]))
+        InterventionalTable(np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="sum to 1"):
-        InterventionalTable((0, 1), (0, 1),
-                            np.array([[np.nan, np.nan], [0.5, 0.5]]))
-    with pytest.raises(ValueError, match="shape"):
-        InterventionalTable((0, 1), (0, 1), np.array([[1.0]]))
+        InterventionalTable(np.array([[np.nan, np.nan], [0.5, 0.5]]))
 
 
 def test_formatters_print_one_row_per_grid_cell():
     table = InterventionalTable(
-        (0, 1), (0, 1, 2), np.array([[0.25, 0.5, 0.25], [0.125, 0.375, 0.5]]))
+        np.array([[0.25, 0.5, 0.25], [0.125, 0.375, 0.5]]))
     assert format_interventional_table(table, "X", "Y") == (
         "X  Y  P(Y|do(X))\n"
         "0  0  0.250000\n0  1  0.500000\n0  2  0.250000\n"

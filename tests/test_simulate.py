@@ -18,7 +18,7 @@ from diffgraph import (
     shares_topological_order,
 )
 from diffgraph.oracle import _checked_setup, _is_dag, _partner_masks
-from diffgraph.simulate import SEPARATION_MARGIN, UNIFORM
+from diffgraph.simulate import SEPARATION_MARGIN
 from helpers import DG_1C, DG_1H, DG_1M, DG_2C, DG_2F, DG_2K, is_compatible_pair
 
 GALLERY = {"1c": DG_1C, "1h": DG_1H, "1m": DG_1M,
@@ -31,14 +31,6 @@ def test_linear_scm_validation():
         LinearScm(dag, coefficients={})
     with pytest.raises(ValueError, match="nonzero"):
         LinearScm(dag, coefficients={("X", "Y"): 0.0})
-    with pytest.raises(ValueError, match="cover"):
-        LinearScm(dag, coefficients={("X", "Y"): 1.0},
-                  noise_scales={"X": 1.0})
-    with pytest.raises(ValueError, match="positive"):
-        LinearScm(dag, coefficients={("X", "Y"): 1.0},
-                  noise_scales={"X": 1.0, "Y": 0.0})
-    with pytest.raises(ValueError, match="noise family"):
-        LinearScm(dag, coefficients={("X", "Y"): 1.0}, noise_family="levy")
 
 
 def test_scm_pair_rejects_mismatched_difference():
@@ -170,22 +162,15 @@ def test_source_noise_moments():
     assert abs(rows.mean()) < 0.01
     assert abs(rows.var() - 1.0) < 0.02
 
-    flat = LinearScm(dag, coefficients={}, noise_family=UNIFORM)
-    rows = sample_dataset(flat, 1_000_000, seed=3).column("X")
-    assert abs(rows.mean()) < 0.01
-    assert abs(rows.var() - 1.0) < 0.02
-    assert abs(rows).max() < 2.0  # bounded support, unlike the gaussian
-
 
 def test_linear_mechanism_is_respected():
     dag = CausalDag(edges=[("X", "Y")])
-    scm = LinearScm(dag, coefficients={("X", "Y"): 2.0},
-                    noise_scales={"X": 1.0, "Y": 0.5})
+    scm = LinearScm(dag, coefficients={("X", "Y"): 2.0})
     data = sample_dataset(scm, 200_000, seed=4)
     x, y = data.column("X"), data.column("Y")
     resid = y - 2.0 * x
     assert abs(resid.mean()) < 0.01
-    assert abs(resid.var() - 0.25) < 0.01
+    assert abs(resid.var() - 1.0) < 0.02
 
 
 def test_ground_truth_direct_is_bit_exact():
