@@ -52,6 +52,13 @@ def _load_graph(path):
         return DifferenceGraph.from_edge_list(fh.read())
 
 
+def _seed(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _graph_flags(sub, with_query=True):
     sub.add_argument("--graph", required=True,
                      help="difference graph in edge-list format")
@@ -236,7 +243,7 @@ def build_parser():
                        help="draw a compatible linear-SCM pair and sample "
                             "two datasets")
     _graph_flags(p, with_query=False)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--out", default=".", metavar="DIR")
     p.add_argument("--json", action="store_true")

@@ -435,17 +435,15 @@ def estimate_effect(verdict, data, x, y, laplace=None,
     """
     if verdict.kind == NOT_IDENTIFIABLE:
         raise ValueError("verdict is NotIdentifiable; nothing to estimate")
-    w = verdict.adjustment_set or ()
-    if verdict.effect == DIRECT:
-        if laplace is not None:
-            raise ValueError("laplace smoothing applies to total effects only")
-        if verdict.kind == NULL_EFFECT:
-            _checked_inputs(data, EFFECT_KIND[verdict.effect], x, y, ())
-            return 0.0
-        return partial_regression_coefficient(data, x, y, w)
+    if verdict.effect == DIRECT and laplace is not None:
+        raise ValueError("laplace smoothing applies to total effects only")
     if verdict.kind == NULL_EFFECT:
         _checked_inputs(data, EFFECT_KIND[verdict.effect], x, y, (), laplace)
-        return marginal_table(data, x, y, exposure_levels, outcome_levels)
+        return 0.0 if verdict.effect == DIRECT else marginal_table(
+            data, x, y, exposure_levels, outcome_levels)
+    w = verdict.adjustment_set or ()
+    if verdict.effect == DIRECT:
+        return partial_regression_coefficient(data, x, y, w)
     return adjustment_total(data, x, y, w, laplace,
                             exposure_levels, outcome_levels)
 

@@ -29,6 +29,8 @@ mask whose bit i*n + j holds the edge i -> j.  A query builds no
   answers every other acyclicity and reach question: G is compatible with
   D when G xor D (G or D under a shared order) is acyclic, and a DAG has
   a path from X to Y iff adding Y -> X closes a cycle.
+* The partners of a compatible DAG are a filter of the compatible masks,
+  taken straight from the definition above, in ascending mask order.
 * d-separation of X and Y by W is decided on parent bitmasks, for every
   compatible DAG and every candidate W at once, through the
   moralised ancestral graph (Lauritzen et al. 1990): X and Y are separated
@@ -49,7 +51,6 @@ repeated query on a difference graph still in the memo computes no
 family, but a NotIdentifiable one builds its two witness DAGs again.
 """
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -280,31 +281,22 @@ def enumerate_compatible_dags(d, shared_order=False):
     return tuple(_dag_from_mask(d.vertices, mask) for mask in masks)
 
 
-def _partner_masks(d, index, d_mask, g1_mask, shared_order):
-    """Edge masks of every partner of the compatible DAG ``g1_mask``: g1
-    xor D plus any subset of the D-edges g1 has (same edge, two
-    coefficients), by subset size, then the D-edges' name order.  Under a
-    shared order each is a subgraph of g1 or D, acyclic for a compatible
-    g1, so only the general regime needs the acyclicity test."""
-    n = len(index)
-    optional = [b for b in (_mask_of(n, [(index[t], index[h])])
-                            for t, h in sorted(d.edges)) if g1_mask & b]
-    candidates = np.array(
-        [(g1_mask ^ d_mask) | sum(extra) for r in range(len(optional) + 1)
-         for extra in itertools.combinations(optional, r)], dtype=np.int64)
-    if not shared_order:
-        candidates = candidates[_is_dag(n, candidates)]
-    return candidates.tolist()
+def _partner_masks(masks, d_mask, g1_mask):
+    """Every partner G2 of the compatible DAG ``g1_mask``, ascending: the
+    compatible ``masks`` that agree with g1 off D and, with g1, hold every
+    D-edge.  A partner is compatible itself, so the filter misses none."""
+    return masks[((masks ^ g1_mask) & ~d_mask == 0)
+                 & ((masks | g1_mask) & d_mask == d_mask)]
 
 
 def draw_compatible_dags(d, shared_order, rng):
     """A compatible DAG pair for ``d`` within the cap: G1 uniform over the
-    compatible DAGs, then G2 over G1's partners, by one ``rng.integers``
-    call each."""
-    _, index, d_mask, masks = _checked_setup(d, shared_order)
+    compatible DAGs, then G2 uniform over G1's partners in ascending mask
+    order, by one ``rng.integers`` call each."""
+    _, _, d_mask, masks = _checked_setup(d, shared_order)
     g1_mask = int(masks[rng.integers(len(masks))])
-    partners = _partner_masks(d, index, d_mask, g1_mask, shared_order)
-    g2_mask = partners[int(rng.integers(len(partners)))]
+    partners = _partner_masks(masks, d_mask, g1_mask)
+    g2_mask = int(partners[rng.integers(len(partners))])
     return tuple(_dag_from_mask(d.vertices, m) for m in (g1_mask, g2_mask))
 
 

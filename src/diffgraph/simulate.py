@@ -182,6 +182,8 @@ def sample_dataset(scm, n, seed=0):
     sum of its sampled parents plus a standard normal draw.  Columns follow
     the DAG's vertex order.
     """
+    if not scm.dag.vertices:
+        raise ValueError("need at least one variable")
     if n < 1:
         raise ValueError("need at least one row")
     rng = np.random.default_rng(seed)

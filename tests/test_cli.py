@@ -462,6 +462,29 @@ def test_simulate_is_reproducible(graph_1h, tmp_path, capsys):
     assert ma == mb
 
 
+def test_simulate_rejects_a_negative_seed_as_usage(graph_1h, tmp_path,
+                                                  capsys):
+    out = tmp_path / "sim"
+    for seed in ("-1", "1.5"):
+        _assert_usage_error(
+            ["simulate", "--graph", graph_1h, "--seed", seed,
+             "--out", str(out)], capsys,
+            f"diffgraph simulate: error: argument --seed: expected a "
+            f"non-negative integer, got '{seed}'")
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_graph_with_no_vertices(tmp_path, capsys):
+    graph, out = tmp_path / "empty.txt", tmp_path / "sim"
+    graph.write_text("# a comment, no edge and no vertex\n")
+    assert main(["simulate", "--graph", str(graph), "--n", "5",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least one variable\n"
+    assert not out.exists()
+
+
 def test_simulate_json_records_unit_gaussian_noise(graph_1h, tmp_path,
                                                    capsys):
     out = tmp_path / "sim"

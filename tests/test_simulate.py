@@ -17,9 +17,18 @@ from diffgraph import (
     sample_dataset,
     shares_topological_order,
 )
-from diffgraph.oracle import _checked_setup, _is_dag, _partner_masks
+from diffgraph.oracle import _checked_setup, _partner_masks
 from diffgraph.simulate import SEPARATION_MARGIN
-from helpers import DG_1C, DG_1H, DG_1M, DG_2C, DG_2F, DG_2K, is_compatible_pair
+from helpers import (
+    DG_1C,
+    DG_1H,
+    DG_1M,
+    DG_2C,
+    DG_2F,
+    DG_2K,
+    all_dags,
+    is_compatible_pair,
+)
 
 GALLERY = {"1c": DG_1C, "1h": DG_1H, "1m": DG_1M,
            "2c": DG_2C, "2f": DG_2F, "2k": DG_2K}
@@ -82,22 +91,36 @@ def test_sampled_pairs_round_trip_and_respect_the_regime(gid):
             assert shares_topological_order(pair.scm1.dag, pair.scm2.dag)
 
 
-def test_shared_order_partners_are_every_subset_of_shared_d_edges():
-    """Under a shared order g1 | D is acyclic for a compatible g1, so each
-    of the 2^|g1 & D| candidate partners is one, with a union that keeps
-    the shared order."""
-    checked = 0
+def test_partners_are_every_dag_that_pairs_by_definition():
+    """For each gallery graph, in each regime the graph allows, the partners
+    of a compatible g1 are exactly the DAGs that the independent definition
+    pairs with g1, in ascending mask order.  That is checked for every g1
+    under a shared order, where it is one partner per subset of g1's
+    D-edges, and for every second g1 in the general regime."""
+    shared_g1s = 0
+    dags_of = {}
     for d in GALLERY.values():
-        if not d.is_acyclic():
-            continue
-        n, index, d_mask, compatible = _checked_setup(d, True)
-        for g1 in compatible.tolist():
-            partners = _partner_masks(d, index, d_mask, g1, True)
-            assert len(set(partners)) == len(partners) \
-                == 2 ** bin(g1 & d_mask).count("1"), (d, g1)
-            assert _is_dag(n, np.array(partners) | g1).all(), (d, g1)
-            checked += 1
-    assert checked == 3 + 96 + 128
+        if d.vertices not in dags_of:
+            n = len(d.vertices)
+            index = {v: i for i, v in enumerate(d.vertices)}
+            dags_of[d.vertices] = sorted(
+                (sum(1 << index[t] * n + index[h] for t, h in g.edges), g)
+                for g in all_dags(d.vertices))
+        dags = dags_of[d.vertices]
+        by_mask = dict(dags)
+        for shared in (False, True):
+            if shared and not d.is_acyclic():
+                continue
+            _, _, d_mask, compatible = _checked_setup(d, shared)
+            for g1 in compatible.tolist()[::1 if shared else 2]:
+                expected = [m for m, g2 in dags if is_compatible_pair(
+                    by_mask[g1], g2, d, shared)]
+                partners = _partner_masks(compatible, d_mask, g1).tolist()
+                assert partners == expected, (d, shared, g1)
+                if shared:
+                    assert len(partners) == 2 ** (g1 & d_mask).bit_count()
+                    shared_g1s += 1
+    assert shared_g1s == 3 + 96 + 128
 
 
 def test_sampled_structure_is_pinned_for_a_seed():
@@ -108,6 +131,24 @@ def test_sampled_structure_is_pinned_for_a_seed():
         ("W1", "X"), ("W1", "Y"), ("W2", "X"), ("W2", "Y")]
     assert sorted(pair.scm2.dag.edges) == [
         ("W1", "X"), ("W1", "Y"), ("W2", "Y"), ("X", "W2"), ("X", "Y")]
+
+
+@pytest.mark.parametrize("d, shared, seed, g1, g2", [
+    (DG_1M, True, 8,
+     [("W1", "Y"), ("W2", "Y"), ("X", "W2"), ("X", "Y")],
+     [("W1", "X"), ("W1", "Y"), ("X", "W2"), ("X", "Y")]),
+    (DG_2K, False, 2,
+     [("W1", "W2"), ("W1", "X"), ("W1", "Y"), ("W2", "X"), ("W2", "Y"),
+      ("X", "Y")],
+     [("W1", "W2"), ("W1", "Y"), ("X", "W2"), ("X", "Y")]),
+], ids=["1m-shared-seed8", "2k-general-seed2"])
+def test_partner_draw_indexes_partners_in_ascending_mask_order(
+        d, shared, seed, g1, g2):
+    # ordering the partners another way (by subset size, say) draws a
+    # different G2 for these seeds
+    pair = sample_compatible_pair(d, shared_order=shared, seed=seed)
+    assert sorted(pair.scm1.dag.edges) == g1
+    assert sorted(pair.scm2.dag.edges) == g2
 
 
 def test_sampling_is_deterministic_in_the_seed():
@@ -153,6 +194,8 @@ def test_sample_dataset_shape_order_and_determinism():
     assert not np.array_equal(data.rows, other.rows)
     with pytest.raises(ValueError):
         sample_dataset(pair.scm1, 0)
+    with pytest.raises(ValueError, match="^need at least one variable$"):
+        sample_dataset(LinearScm(CausalDag(), coefficients={}), 5)
 
 
 def test_source_noise_moments():
