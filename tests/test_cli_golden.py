@@ -6,11 +6,16 @@ name, relative to the working directory.  Estimates are recorded as text
 only: text prints 6 decimals, where the 17-digit floats of ``--json`` may
 differ between BLAS builds.
 
-To record the cases anew, run ``PYTHONPATH=src python
+``golden/simulate_sha256.json`` holds the SHA-256 digest of every file
+that ``SIMULATE_ARGV`` writes.  ``--n`` spans more than one block of the
+CSV writer.  Sampling draws no BLAS call, so the digests hold on any build.
+
+To record the cases and the digests anew, run ``PYTHONPATH=src python
 tests/test_cli_golden.py`` from the repository root.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -25,6 +30,9 @@ from diffgraph.cli import main
 from helpers import DG_1H, DG_1M, DG_2F
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_cases.json"
+SIMULATE_GOLDEN = GOLDEN.with_name("simulate_sha256.json")
+SIMULATE_ARGV = ["simulate", "--graph", "1m.txt", "--shared-order",
+                 "--n", "5000", "--seed", "3", "--out", "sim"]
 
 
 def _discrete_rows(seed, n=400):
@@ -195,6 +203,16 @@ def run(argv):
             "stderr": err.getvalue()}
 
 
+def simulate_digests():
+    """Run ``SIMULATE_ARGV`` in the working directory, which holds the
+    inputs, and digest the files it writes."""
+    result = run(SIMULATE_ARGV)
+    assert result["exit"] == 0, result["stderr"]
+    return {name: hashlib.sha256(
+                (pathlib.Path("sim") / name).read_bytes()).hexdigest()
+            for name in ("data1.csv", "data2.csv", "manifest.json")}
+
+
 RECORDED = (json.loads(GOLDEN.read_text(encoding="utf-8"))
             if GOLDEN.exists() else [])
 
@@ -213,6 +231,14 @@ def test_the_recording_covers_every_case():
     assert [c["argv"] for c in RECORDED] == cases()
 
 
+def test_simulate_bytes_match_the_recording(tmp_path, monkeypatch):
+    recorded = json.loads(SIMULATE_GOLDEN.read_text(encoding="utf-8"))
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert recorded["argv"] == SIMULATE_ARGV
+    assert simulate_digests() == recorded["sha256"]
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
@@ -221,8 +247,13 @@ if __name__ == "__main__":
         os.chdir(tmp)
         try:
             recorded = [run(argv) for argv in cases()]
+            digests = simulate_digests()
         finally:
             os.chdir(here)
     GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n",
                       encoding="utf-8")
-    print(f"recorded {len(recorded)} cases in {GOLDEN}", file=sys.stderr)
+    SIMULATE_GOLDEN.write_text(
+        json.dumps({"argv": SIMULATE_ARGV, "sha256": digests}, indent=1)
+        + "\n", encoding="utf-8")
+    print(f"recorded {len(recorded)} cases in {GOLDEN} and "
+          f"{len(digests)} digests in {SIMULATE_GOLDEN}", file=sys.stderr)
