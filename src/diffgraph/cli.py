@@ -59,6 +59,13 @@ def _seed(text):
     return int(text)
 
 
+def _rows(text):
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _graph_flags(sub, with_query=True):
     sub.add_argument("--graph", required=True,
                      help="difference graph in edge-list format")
@@ -244,7 +251,7 @@ def build_parser():
                             "two datasets")
     _graph_flags(p, with_query=False)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--n", type=int, default=10000)
+    p.add_argument("--n", type=_rows, default=10000)
     p.add_argument("--out", default=".", metavar="DIR")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simulate)

@@ -46,6 +46,10 @@ _KEYS_PER_ROW = 4
 # Rows a rejected CSV file is read in while its first fault is sought.
 _FAULT_BLOCK = 1024
 
+# Rows formatted per write: the text and the boxed floats of one block stay
+# small whatever the number of rows.
+_WRITE_BLOCK = 4096
+
 
 class PositivityError(ValueError):
     """An observed adjustment stratum has no data for some exposure value,
@@ -165,10 +169,17 @@ class Dataset:
             raise ValueError(f"{path}: {exc}") from None
 
     def to_csv(self, path):
-        fmt = "%d" if self.kind == DISCRETE else "%.17g"
+        """Write a header row of the variable names, then one row per unit:
+        ``%.17g`` cells, which ``from_csv`` reads back bit for bit, or ``%d``
+        cells for discrete data.  Rows are formatted and written in blocks
+        of ``_WRITE_BLOCK``."""
+        cell = "%d" if self.kind == DISCRETE else "%.17g"
+        row = ",".join([cell] * self.rows.shape[1]) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(self.variable_names) + "\n")
-            np.savetxt(fh, self.rows, fmt=fmt, delimiter=",")
+            for start in range(0, len(self), _WRITE_BLOCK):
+                block = self.rows[start:start + _WRITE_BLOCK]
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _reads(lines, usecols=None):

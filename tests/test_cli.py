@@ -474,6 +474,19 @@ def test_simulate_rejects_a_negative_seed_as_usage(graph_1h, tmp_path,
     assert not out.exists()
 
 
+def test_simulate_rejects_a_nonpositive_row_count_as_usage(graph_1h,
+                                                          tmp_path, capsys):
+    out = tmp_path / "sim"
+    for n, argv in (("0", ["--n", "0"]), ("-3", ["--n=-3"]),
+                    ("1.5", ["--n", "1.5"])):
+        _assert_usage_error(
+            ["simulate", "--graph", graph_1h, *argv, "--out", str(out)],
+            capsys,
+            f"diffgraph simulate: error: argument --n: expected a positive "
+            f"integer, got '{n}'")
+    assert not out.exists()
+
+
 def test_simulate_rejects_a_graph_with_no_vertices(tmp_path, capsys):
     graph, out = tmp_path / "empty.txt", tmp_path / "sim"
     graph.write_text("# a comment, no edge and no vertex\n")

@@ -1,5 +1,6 @@
 """Plug-in adjustment, regression, and two-population change estimation."""
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from diffgraph import (
     partial_regression_coefficient,
     EffectQuery,
 )
-from diffgraph.estimate import _joint_counts
+from diffgraph.estimate import _WRITE_BLOCK, _joint_counts
 from helpers import DG_1H, DG_1M, joint_counts_by_sorting
 
 
@@ -121,6 +122,45 @@ def test_dataset_csv_round_trip(tmp_path):
     cont.to_csv(cpath)
     again = Dataset.from_csv(cpath, CONTINUOUS)
     assert np.array_equal(again.rows, cont.rows)
+
+
+def _savetxt_bytes(data):
+    """The bytes of the row-at-a-time writer that ``to_csv`` replaced:
+    numpy's ``savetxt``, kept as the reference."""
+    out = io.StringIO()
+    out.write(",".join(data.variable_names) + "\n")
+    np.savetxt(out, data.rows, fmt="%d" if data.kind == DISCRETE else "%.17g",
+               delimiter=",")
+    return out.getvalue().encode("utf-8")
+
+
+# where %.17g is subnormal, tiny, switches notation, exceeds 2**53 or is -0
+_EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e-04, 1e16,
+                1e17, -1.5e300, 0.1]
+
+
+@pytest.mark.parametrize("n", [1, _WRITE_BLOCK - 1, _WRITE_BLOCK,
+                               _WRITE_BLOCK + 1, 3 * _WRITE_BLOCK + 7])
+def test_to_csv_writes_the_bytes_of_savetxt(tmp_path, n):
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(3 * n) * 10.0 ** rng.integers(-300, 300,
+                                                                3 * n)
+    floats[:len(_EDGE_FLOATS)] = _EDGE_FLOATS[:3 * n]
+    floats = floats.reshape(n, 3)
+    codes = rng.integers(0, 2 ** 53, (n, 3)).astype(float)
+    codes.flat[:3] = [0.0, -0.0, 2.0 ** 53 - 1][:3 * n]
+    for matrix, kind in ((floats, CONTINUOUS), (codes, DISCRETE)):
+        layouts = [matrix, matrix[:, :1], np.asfortranarray(matrix),
+                   matrix[:, ::-1]]
+        # one row is contiguous in either order
+        assert n == 1 or not (layouts[2].flags.c_contiguous
+                              or layouts[3].flags.c_contiguous)
+        for rows in layouts:
+            data = Dataset(["a", "b", "c"][:rows.shape[1]], rows, kind)
+            assert data.rows.strides == rows.strides
+            path = tmp_path / "d.csv"
+            data.to_csv(path)
+            assert path.read_bytes() == _savetxt_bytes(data)
 
 
 def test_from_csv_drops_a_byte_order_mark(tmp_path):
