@@ -8,25 +8,15 @@ adjustment in both populations with the same adjustment set; this package
 implements those closed-form decisions, a brute-force enumeration oracle
 for small graphs, the corresponding estimators, and a simulator for
 generating compatible model pairs.
+
+``import diffgraph`` loads only the pure-Python closed form: ``graphs``,
+``identify`` and the ``figures`` gallery.  The numpy-backed ``estimate``,
+``oracle`` and ``simulate`` load on first use, through the ``_LAZY`` table
+of their public names and the submodule names themselves.
 """
 
-from .estimate import (
-    CONTINUOUS,
-    DISCRETE,
-    CausalChangeReport,
-    ChangeTable,
-    Dataset,
-    InterventionalTable,
-    PositivityError,
-    SingularDesignError,
-    adjustment_total,
-    causal_change,
-    estimate_effect,
-    format_change_report,
-    format_interventional_table,
-    marginal_table,
-    partial_regression_coefficient,
-)
+import importlib
+
 from .figures import GALLERY, GalleryEntry, figure_table, gallery_entry
 from .graphs import (
     CausalDag,
@@ -49,23 +39,46 @@ from .identify import (
     identify_total_general,
     identify_total_shared_order,
 )
-from .oracle import (
-    VERTEX_CAP,
-    back_door_admissible,
-    enumerate_compatible_dags,
-    oracle_direct,
-    oracle_total,
-    single_door_admissible,
-)
-from .simulate import (
-    LinearScm,
-    ScmPair,
-    ground_truth_direct,
-    ground_truth_total_linear,
-    recompute_difference_graph,
-    sample_compatible_pair,
-    sample_dataset,
-)
+
+# Public name -> the numpy-backed module that defines it.  The module is
+# imported when one of its names is first read (PEP 562 ``__getattr__``
+# below), and the name is then bound here.
+_LAZY = {
+    **dict.fromkeys((
+        "CONTINUOUS",
+        "DISCRETE",
+        "CausalChangeReport",
+        "ChangeTable",
+        "Dataset",
+        "InterventionalTable",
+        "PositivityError",
+        "SingularDesignError",
+        "adjustment_total",
+        "causal_change",
+        "estimate_effect",
+        "format_change_report",
+        "format_interventional_table",
+        "marginal_table",
+        "partial_regression_coefficient",
+    ), "estimate"),
+    **dict.fromkeys((
+        "VERTEX_CAP",
+        "back_door_admissible",
+        "enumerate_compatible_dags",
+        "oracle_direct",
+        "oracle_total",
+        "single_door_admissible",
+    ), "oracle"),
+    **dict.fromkeys((
+        "LinearScm",
+        "ScmPair",
+        "ground_truth_direct",
+        "ground_truth_total_linear",
+        "recompute_difference_graph",
+        "sample_compatible_pair",
+        "sample_dataset",
+    ), "simulate"),
+}
 
 __version__ = "0.1.0"
 
@@ -121,3 +134,17 @@ __all__ = [
     "single_door_admissible",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY.values():
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

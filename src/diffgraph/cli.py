@@ -180,7 +180,7 @@ def _cmd_simulate(args):
         "difference_graph": d.to_edge_list(),
         "scm1": pair.scm1.as_dict(),
         "scm2": pair.scm2.as_dict(),
-        "datasets": {"data1": path1, "data2": path2,
+        "datasets": {"data1": "data1.csv", "data2": "data2.csv",
                      "seed1": args.seed + 1, "seed2": args.seed + 2},
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .figures import _align
 from .graphs import _check_label
 from .identify import DIRECT, NOT_IDENTIFIABLE, NULL_EFFECT, TOTAL
 
@@ -516,10 +517,3 @@ def _align_grid(x, y, columns):
         rows.append([str(i), str(j), *(f"{cells[i, j]:.6f}"
                                        for cells in columns.values())])
     return _align(rows)
-
-
-def _align(rows):
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in rows]
-    return "\n".join(lines)

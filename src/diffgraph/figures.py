@@ -14,7 +14,6 @@ command.
 
 from dataclasses import dataclass
 
-from .estimate import _align
 from .graphs import DifferenceGraph
 from .identify import (
     ADJUSTMENT_IDENTIFIABLE,
@@ -86,3 +85,11 @@ def figure_table():
             _verdict_cell(identify_direct(q)),
         ])
     return _align(rows) + "\n"
+
+
+def _align(rows):
+    """Rows of text cells as left-aligned columns, two spaces apart."""
+    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+             for row in rows]
+    return "\n".join(lines)
