@@ -505,6 +505,10 @@ def test_simulate_json_records_unit_gaussian_noise(graph_1h, tmp_path,
     printed = json.loads(capsys.readouterr().out)
     manifest = json.loads((out / "manifest.json").read_text())
     assert printed == manifest
+    # the file names are relative to --out, where the manifest sits
+    assert printed["datasets"] == {"data1": "data1.csv",
+                                   "data2": "data2.csv",
+                                   "seed1": 6, "seed2": 7}
     for scm in ("scm1", "scm2"):
         doc = manifest[scm]
         assert doc["noise_family"] == "gaussian"
