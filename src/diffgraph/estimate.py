@@ -74,6 +74,8 @@ class Dataset:
     ----------
     variable_names : sequence of str
     rows : array-like, shape (N, len(variable_names))
+        Stored as floats; an integer array of discrete codes is checked as
+        integers before it is converted.
     kind : {"discrete", "continuous"}
         Discrete data must be non-negative integer codes below 2**53, below
         which a float holds every integer exactly; the cardinality of a
@@ -92,7 +94,9 @@ class Dataset:
             raise ValueError(f"duplicate variable name {dup!r}")
         if kind not in (DISCRETE, CONTINUOUS):
             raise ValueError(f"kind must be {DISCRETE!r} or {CONTINUOUS!r}")
-        data = np.asarray(rows, dtype=float)
+        ints = (kind == DISCRETE and isinstance(rows, np.ndarray)
+                and rows.dtype.kind in "iu")
+        data = rows if ints else np.asarray(rows, dtype=float)
         if data.ndim != 2:
             raise ValueError(f"rows must be a matrix, got shape {data.shape}")
         if data.shape[0] == 0:
@@ -100,25 +104,28 @@ class Dataset:
         if data.shape[1] != len(names):
             raise ValueError(f"{len(names)} variable names but "
                              f"{data.shape[1]} columns per row")
-        if not np.all(np.isfinite(data)):
+        if not ints and not np.all(np.isfinite(data)):
             raise ValueError(
                 f"non-finite cell at {_first_cell(names, ~np.isfinite(data))}")
         if kind == DISCRETE:
-            # the non-negative integers are the fixed points of |floor(v)|
-            floor = np.floor(data)
-            bad = data != np.abs(floor, out=floor)
+            if ints:
+                bad = data < 0
+            else:
+                # the non-negative integers are the fixed points of |floor(v)|
+                floor = np.floor(data)
+                bad = data != np.abs(floor, out=floor)
             if bad.any():
                 raise ValueError(
                     "discrete data must be non-negative integer codes, got "
                     f"{data[bad][0]:g} at {_first_cell(names, bad)}")
-            if data.max(initial=0) >= 2.0 ** 53:
-                big = data >= 2.0 ** 53
+            if data.max(initial=0) >= 2 ** 53:
+                big = data >= 2 ** 53
                 raise ValueError(
                     "discrete codes must be below 2**53, below which a float "
                     "holds every integer exactly, got "
                     f"{data[big][0]:g} at {_first_cell(names, big)}")
         self.variable_names = names
-        self.rows = data
+        self.rows = data.astype(float) if ints else data
         self.kind = kind
         self._index = {v: i for i, v in enumerate(names)}
 
@@ -142,7 +149,12 @@ class Dataset:
     def from_csv(cls, path, kind):
         """Read a dataset from CSV with a header row of unquoted variable
         names; empty lines are skipped, and a ``#`` is no comment but a bad
-        cell.  Every ValueError names ``path``."""
+        cell.  Every ValueError names ``path``.
+
+        A discrete file whose cells are all plain integers is read as
+        integers.  Any other cell sends the whole file through the double
+        reader, so every value reads as the same double either way and
+        every message is the same."""
         try:
             with open(path, "r", encoding="utf-8-sig") as fh:
                 header = fh.readline().strip()
@@ -156,8 +168,10 @@ class Dataset:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)
                     try:
-                        data = np.loadtxt(fh, delimiter=",", ndmin=2,
-                                          comments=None)
+                        data = _integer_rows(fh) if kind == DISCRETE else None
+                        if data is None:
+                            data = np.loadtxt(fh, delimiter=",", ndmin=2,
+                                              comments=None)
                         if data.size and data.shape[1] != len(names):
                             raise ValueError("rows and header differ in "
                                              "width")
@@ -181,6 +195,22 @@ class Dataset:
             for start in range(0, len(self), _WRITE_BLOCK):
                 block = self.rows[start:start + _WRITE_BLOCK]
                 fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _integer_rows(fh):
+    """The data lines of ``fh`` as an int64 matrix, or None with ``fh``
+    back where it was when a cell is no plain integer.  A float cell is
+    refused, not truncated: numpy versions that cast ``1.5`` to 1 warn
+    that they do, and the warning is taken as a refusal."""
+    start = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2,
+                              comments=None)
+    except (ValueError, DeprecationWarning):
+        fh.seek(start)
+        return None
 
 
 def _reads(lines, usecols=None):

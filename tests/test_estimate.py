@@ -27,7 +27,7 @@ from diffgraph import (
     partial_regression_coefficient,
     EffectQuery,
 )
-from diffgraph.estimate import _WRITE_BLOCK, _joint_counts
+from diffgraph.estimate import _WRITE_BLOCK, _first_fault, _joint_counts
 from helpers import DG_1H, DG_1M, joint_counts_by_sorting
 
 
@@ -58,6 +58,17 @@ def test_dataset_validation():
                                          "column 'b'"):
         Dataset(["a", "b"], np.array([[0, 0], [0, -1.0], [0.5, 0]]),
                 DISCRETE)
+    # integer rows are checked as integers, with their float twin's message
+    codes = np.array([[0, 0], [0, -1], [2 ** 53, 0]])
+    assert codes.dtype == np.int64
+    assert _message(Dataset, ["a", "b"], codes, DISCRETE) == _message(
+        Dataset, ["a", "b"], codes.astype(float), DISCRETE)
+
+
+def _message(call, *args):
+    with pytest.raises(ValueError) as exc_info:
+        call(*args)
+    return str(exc_info.value)
 
 
 def test_rows_must_form_a_matrix():
@@ -84,6 +95,18 @@ def test_discrete_codes_above_two_to_the_53_are_rejected(tmp_path):
     largest = Dataset(["X"], [[0], [2.0 ** 53 - 1]], DISCRETE)
     assert largest.codes("X").tolist() == [0, 2 ** 53 - 1]
     assert largest.cardinality("X") == 2 ** 53
+    # integer rows give the message of their float twins
+    for dtype in (np.int64, np.uint64):
+        for big in (2 ** 53, 2 ** 53 + 1, np.iinfo(dtype).max):
+            codes = np.array([[0, 1], [1, big]], dtype=dtype)
+            message = _message(Dataset, ["X", "Y"], codes, DISCRETE)
+            assert message == _message(Dataset, ["X", "Y"],
+                                       codes.astype(float), DISCRETE)
+            assert message.endswith("at row 2, column 'Y'")
+        codes = np.array([[0], [2 ** 53 - 1]], dtype=dtype)
+        data = Dataset(["X"], codes, DISCRETE)
+        assert data.rows.dtype == np.float64
+        assert data.codes("X").tolist() == [0, 2 ** 53 - 1]
     # continuous data keeps any finite value
     assert Dataset(["X"], [[1e19]], CONTINUOUS).column("X")[0] == 1e19
 
@@ -204,18 +227,82 @@ def test_from_csv_rejects_junk(tmp_path):
 
 @pytest.mark.parametrize("row", [1024, 1025, 2049, 3000])
 def test_from_csv_names_the_first_fault_past_the_first_block(tmp_path, row):
-    for fault, message in (
-            ("1,x,3", f"row {row}, column 'B': 'x' is not a number"),
-            ("1,2", f"row {row} has 2 cells but the header has 3 names"),
-            ("   ", f"row {row} has 1 cells but the header has 3 names")):
+    for kind, fault, later, message in (
+            (CONTINUOUS, "1,x,3", "1,y",
+             f"row {row}, column 'B': 'x' is not a number"),
+            (CONTINUOUS, "1,2", "1,y",
+             f"row {row} has 2 cells but the header has 3 names"),
+            (CONTINUOUS, "   ", "1,y",
+             f"row {row} has 1 cells but the header has 3 names"),
+            (DISCRETE, "1,1.5,3", "1,2,-1",
+             "discrete data must be non-negative integer codes, got 1.5 at "
+             f"row {row}, column 'B'")):
         # empty lines are no rows; a later fault is not the one named
         lines = (["A,B,C", ""] + ["1,2,3"] * (row - 1) + ["", fault]
-                 + ["4,5,6"] * 1500 + ["1,y"])
+                 + ["4,5,6"] * 1500 + [later])
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as exc_info:
-            Dataset.from_csv(path, CONTINUOUS)
+            Dataset.from_csv(path, kind)
         assert str(exc_info.value) == f"{path}: {message}"
+
+
+def _from_csv_by_doubles(path):
+    """What ``from_csv(path, DISCRETE)`` gives when every cell is read as a
+    double: the rows, or the full error text."""
+    with open(path, encoding="utf-8") as fh:
+        names = fh.readline().strip().split(",")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            fh.seek(0)
+            fh.readline()
+            return f"{path}: {_first_fault(fh, names)}"
+    try:
+        return Dataset(names, data, DISCRETE).rows
+    except ValueError as exc:
+        return f"{path}: {exc}"
+
+
+# plain integers, cells only the double reader takes, and cells neither takes
+_DISCRETE_CELLS = ["007", "+1", " 1", "1 ", "-0", "-1", "1.0", "1.", "1e0",
+                   "1.0000000000000001", "nan", "1_0", "", "9007199254740993",
+                   "9223372036854775808", "99999999999999999999"]
+
+
+def _assert_reads_as_doubles(path):
+    """``from_csv(path, DISCRETE)`` gives the rows, compared with ``==``, or
+    the full error text of ``_from_csv_by_doubles``; the rows are returned."""
+    expected = _from_csv_by_doubles(path)
+    try:
+        rows = Dataset.from_csv(path, DISCRETE).rows
+    except ValueError as exc:
+        assert str(exc) == expected
+        return None
+    assert not isinstance(expected, str), expected
+    assert rows.shape == expected.shape and (rows == expected).all()
+    return rows
+
+
+@pytest.mark.parametrize("cell", _DISCRETE_CELLS)
+def test_from_csv_reads_discrete_cells_as_the_double_reader(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"X,Y\n0,2\n1,{cell}\n")
+    rows = _assert_reads_as_doubles(path)
+    # an integer code has no sign bit, though the double of -0 has one
+    assert rows is None or not np.signbit(rows).any()
+
+
+@pytest.mark.parametrize("cell", ["1.0", "1.5"])
+def test_a_late_double_cell_rereads_a_discrete_file(tmp_path, cell):
+    """A cell that only the double reader takes, on row 3,000, sends the
+    whole file back to its first data line."""
+    lines = (["X,Y"] + [f"{r % 3},{r % 2}" for r in range(2999)]
+             + [f"2,{cell}"])
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rows = _assert_reads_as_doubles(path)
+    assert (rows is None) == (cell == "1.5")
 
 
 _CSV_NAMES = st.lists(st.sampled_from(["X", "Y", "W1", "W2", "Z"]),
