@@ -37,6 +37,12 @@ def _discrete(columns, **named):
     return Dataset(names, rows, DISCRETE)
 
 
+def _message(call, *args):
+    with pytest.raises(ValueError) as exc_info:
+        call(*args)
+    return str(exc_info.value)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError, match="duplicate variable name 'a'"):
         Dataset(["a", "a"], np.zeros((2, 2)), DISCRETE)
@@ -59,16 +65,9 @@ def test_dataset_validation():
         Dataset(["a", "b"], np.array([[0, 0], [0, -1.0], [0.5, 0]]),
                 DISCRETE)
     # integer rows are checked as integers, with their float twin's message
-    codes = np.array([[0, 0], [0, -1], [2 ** 53, 0]])
-    assert codes.dtype == np.int64
+    codes = np.array([[0, 0], [0, -1], [2 ** 53, 0]], dtype=np.int64)
     assert _message(Dataset, ["a", "b"], codes, DISCRETE) == _message(
         Dataset, ["a", "b"], codes.astype(float), DISCRETE)
-
-
-def _message(call, *args):
-    with pytest.raises(ValueError) as exc_info:
-        call(*args)
-    return str(exc_info.value)
 
 
 def test_rows_must_form_a_matrix():
