@@ -74,8 +74,6 @@ class Dataset:
     ----------
     variable_names : sequence of str
     rows : array-like, shape (N, len(variable_names))
-        Stored as floats; an integer array of discrete codes is checked as
-        integers before it is converted.
     kind : {"discrete", "continuous"}
         Discrete data must be non-negative integer codes below 2**53, below
         which a float holds every integer exactly; the cardinality of a
@@ -94,9 +92,7 @@ class Dataset:
             raise ValueError(f"duplicate variable name {dup!r}")
         if kind not in (DISCRETE, CONTINUOUS):
             raise ValueError(f"kind must be {DISCRETE!r} or {CONTINUOUS!r}")
-        ints = (kind == DISCRETE and isinstance(rows, np.ndarray)
-                and rows.dtype.kind in "iu")
-        data = rows if ints else np.asarray(rows, dtype=float)
+        data = np.asarray(rows, dtype=float)
         if data.ndim != 2:
             raise ValueError(f"rows must be a matrix, got shape {data.shape}")
         if data.shape[0] == 0:
@@ -104,28 +100,25 @@ class Dataset:
         if data.shape[1] != len(names):
             raise ValueError(f"{len(names)} variable names but "
                              f"{data.shape[1]} columns per row")
-        if not ints and not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(data)):
             raise ValueError(
                 f"non-finite cell at {_first_cell(names, ~np.isfinite(data))}")
         if kind == DISCRETE:
-            if ints:
-                bad = data < 0
-            else:
-                # the non-negative integers are the fixed points of |floor(v)|
-                floor = np.floor(data)
-                bad = data != np.abs(floor, out=floor)
+            # the non-negative integers are the fixed points of |floor(v)|
+            floor = np.floor(data)
+            bad = data != np.abs(floor, out=floor)
             if bad.any():
                 raise ValueError(
                     "discrete data must be non-negative integer codes, got "
                     f"{data[bad][0]:g} at {_first_cell(names, bad)}")
-            if data.max(initial=0) >= 2 ** 53:
-                big = data >= 2 ** 53
+            if data.max(initial=0) >= 2.0 ** 53:
+                big = data >= 2.0 ** 53
                 raise ValueError(
                     "discrete codes must be below 2**53, below which a float "
                     "holds every integer exactly, got "
                     f"{data[big][0]:g} at {_first_cell(names, big)}")
         self.variable_names = names
-        self.rows = data.astype(float) if ints else data
+        self.rows = data
         self.kind = kind
         self._index = {v: i for i, v in enumerate(names)}
 
@@ -198,16 +191,17 @@ class Dataset:
 
 
 def _integer_rows(fh):
-    """The data lines of ``fh`` as an int64 matrix, or None with ``fh``
-    back where it was when a cell is no plain integer.  A float cell is
-    refused, not truncated: numpy versions that cast ``1.5`` to 1 warn
-    that they do, and the warning is taken as a refusal."""
+    """The data lines of ``fh``, parsed as int64 and returned as floats,
+    or None with ``fh`` back where it was when a cell is no plain integer.
+    A float cell is refused, not truncated: numpy versions that cast
+    ``1.5`` to 1 warn that they do, and the warning is taken as a
+    refusal."""
     start = fh.tell()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             return np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2,
-                              comments=None)
+                              comments=None).astype(float)
     except (ValueError, DeprecationWarning):
         fh.seek(start)
         return None

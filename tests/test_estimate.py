@@ -64,7 +64,7 @@ def test_dataset_validation():
                                          "column 'b'"):
         Dataset(["a", "b"], np.array([[0, 0], [0, -1.0], [0.5, 0]]),
                 DISCRETE)
-    # integer rows are checked as integers, with their float twin's message
+    # integer rows give the message of their float twin
     codes = np.array([[0, 0], [0, -1], [2 ** 53, 0]], dtype=np.int64)
     assert _message(Dataset, ["a", "b"], codes, DISCRETE) == _message(
         Dataset, ["a", "b"], codes.astype(float), DISCRETE)
