@@ -193,6 +193,7 @@ class Dataset:
 def _integer_rows(fh):
     """The data lines of ``fh``, parsed as int64 and returned as floats,
     or None with ``fh`` back where it was when a cell is no plain integer.
+    The int64 array is freed here, before ``Dataset`` checks the floats.
     A float cell is refused, not truncated: numpy versions that cast
     ``1.5`` to 1 warn that they do, and the warning is taken as a
     refusal."""
