@@ -1,5 +1,6 @@
 """Brute-force enumeration oracle and the graphical admissibility criteria."""
 
+import hashlib
 import itertools
 import random
 
@@ -435,37 +436,102 @@ def _dag_mask(g):
 
 
 def test_closure_of_child_and_parent_rows_gives_descendants_and_ancestors():
-    for n in range(1, 5):
+    for n, dtype in itertools.product(range(1, 5), (np.uint8, np.int64)):
         names = ("A", "B", "C", "D")[:n]
         dags = all_dags(names)
         masks = np.array([_dag_mask(g) for g in dags], dtype=np.int64)
-        children = [oracle._children(n, masks, v) for v in range(n)]
-        parents = [sum((kids >> v & 1) << u for u, kids in enumerate(children))
-                   for v in range(n)]
+        children = oracle._children(
+            n, masks, np.arange(n)[:, None]).astype(dtype)
+        parents = np.stack([
+            sum((kids >> dtype(v) & dtype(1)) << dtype(u)
+                for u, kids in enumerate(children))
+            for v in range(n)])
         below, above = oracle._closure(children), oracle._closure(parents)
         for k, g in enumerate(dags):
             for v, name in enumerate(names):
-                assert _names_of(names, below[v][k] | 1 << v) \
+                assert _names_of(names, int(below[v, k]) | 1 << v) \
                     == g.descendants(name)
-                assert _names_of(names, above[v][k] | 1 << v) \
+                assert _names_of(names, int(above[v, k]) | 1 << v) \
                     == g.ancestors(name)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closure_keeps_the_dtype_and_its_input_and_takes_zero_rows():
+    # two stacked graphs: 0 -> 1 -> 2, and 1 -> 0
+    rows = np.array([[0b010, 0b000], [0b100, 0b001], [0b000, 0b000]])
+    for dtype in (np.uint8, np.int64):
+        given = rows.astype(dtype)
+        given.flags.writeable = False
+        reach = oracle._closure(given)
+        assert reach.dtype == dtype
+        assert reach.tolist() == [[0b110, 0], [0b100, 0b001], [0, 0]]
+        assert given.tolist() == rows.tolist()
+        # the first vertex of the enumeration joins graphs of no vertex
+        empty = oracle._closure(np.zeros((0, 7), dtype=dtype))
+        assert empty.shape == (0, 7) and empty.dtype == dtype
+
+
+def _dag_sample(names, count, seed):
+    """``count`` seeded DAGs on ``names``: a random vertex order, each
+    pair in that order an edge with probability 1/2."""
+    rng = random.Random(seed)
+    dags = []
+    for _ in range(count):
+        order = rng.sample(names, len(names))
+        dags.append(CausalDag(vertices=names, edges=[
+            (a, b) for i, a in enumerate(order) for b in order[i + 1:]
+            if rng.random() < 0.5]))
+    return dags
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_admissible_families_match_the_graph_criteria(n):
     """The oracle's bitmask families, computed for every DAG at once, equal
     the sets the public criteria, which d-separate on CausalDag objects,
-    accept."""
-    names = ("A", "B", "C", "D")[:n]
-    dags = all_dags(names)
+    accept: every DAG up to 4 vertices, a seeded sample at 5 and 6.  The
+    masks may be read-only and stay unchanged."""
+    names = ("A", "B", "C", "D", "E", "F")[:n]
+    dags = all_dags(names) if n <= 4 else _dag_sample(
+        names, {5: 150, 6: 60}[n], seed=n)
     masks = np.array([_dag_mask(g) for g in dags], dtype=np.int64)
+    masks.flags.writeable = False
+    given = masks.tolist()
     for x, y in itertools.permutations(range(n), 2):
         for effect, accepts in ((TOTAL, back_door_admissible),
                                 (DIRECT, single_door_admissible)):
             families = oracle._admissible_families(n, masks, x, y, effect)
+            assert families.dtype == np.int64
             for g, family in zip(dags, families.tolist(), strict=True):
                 assert _family_as_sets(names, family) == _admissible_family(
                     g, names[x], names[y], accepts), (g, x, y, effect)
+    assert masks.tolist() == given
+
+
+# sha256 of the family table of all 29,281 five-vertex DAGs, as
+# little-endian int64 bytes, recorded from the int64 kernel that preceded
+# the uint8 one
+FAMILY_TABLE_DIGESTS = {
+    (0, 1, TOTAL):
+        "4751e22d0a56d821632eea14a8f6b8c908bec7b2d5e2b7635feedaf2a33a7a90",
+    (0, 1, DIRECT):
+        "dc0582bf0f951391b67293ce28b63728a307eb0152bdd075376a8122a3aed70a",
+    (3, 1, TOTAL):
+        "018ef7a43f4d564ab5dad6ba0863d0cd7c7bee88b5cad0dc431370215db39eb7",
+    (3, 1, DIRECT):
+        "38d608d114cbb2d0a55f8ac048c8ec1a2a7a25f9ec5de8a60924444506431b37",
+    (4, 2, TOTAL):
+        "6b75cb4a8ea9532d262fbec7baad3670d02d4bc5eded86e270244f912661e49a",
+    (4, 2, DIRECT):
+        "265ba662ad927893431c82344d1f396fe46c257ae861f9147dbf1ade07394c53",
+}
+
+
+def test_family_tables_of_every_dag_at_the_cap_match_recorded_digests():
+    masks = oracle._all_dag_masks(5)
+    for (x, y, effect), digest in FAMILY_TABLE_DIGESTS.items():
+        families = oracle._admissible_families(5, masks, x, y, effect)
+        assert hashlib.sha256(
+            families.astype("<i8").tobytes()).hexdigest() == digest, \
+            (x, y, effect)
 
 
 def test_admissible_families_match_networkx_d_separation():
