@@ -16,6 +16,7 @@ of their public names and the submodule names themselves.
 """
 
 import importlib
+import types
 
 from .figures import GALLERY, GalleryEntry, figure_table, gallery_entry
 from .graphs import (
@@ -82,58 +83,12 @@ _LAZY = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADJUSTMENT_IDENTIFIABLE",
-    "CONTINUOUS",
-    "CausalChangeReport",
-    "CausalDag",
-    "ChangeTable",
-    "Dataset",
-    "DifferenceGraph",
-    "DIRECT",
-    "DISCRETE",
-    "EffectQuery",
-    "GALLERY",
-    "GalleryEntry",
-    "IdentificationVerdict",
-    "InterventionalTable",
-    "LinearScm",
-    "NOT_IDENTIFIABLE",
-    "NULL_EFFECT",
-    "ParseError",
-    "PositivityError",
-    "ScmPair",
-    "SingularDesignError",
-    "TOTAL",
-    "VERTEX_CAP",
-    "adjustment_total",
-    "back_door_admissible",
-    "causal_change",
-    "enumerate_compatible_dags",
-    "estimate_effect",
-    "figure_table",
-    "format_change_report",
-    "format_interventional_table",
-    "gallery_entry",
-    "ground_truth_direct",
-    "ground_truth_total_linear",
-    "identify_direct",
-    "identify_direct_general",
-    "identify_direct_shared_order",
-    "identify_total",
-    "identify_total_general",
-    "identify_total_shared_order",
-    "marginal_table",
-    "oracle_direct",
-    "oracle_total",
-    "partial_regression_coefficient",
-    "recompute_difference_graph",
-    "sample_compatible_pair",
-    "sample_dataset",
-    "shares_topological_order",
-    "single_door_admissible",
-    "__version__",
-]
+# Every public name once: each name bound above that is not a module,
+# then the lazy names and the version.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_")
+           and not isinstance(value, types.ModuleType)]
+__all__ += [*_LAZY, "__version__"]
 
 
 def __getattr__(name):

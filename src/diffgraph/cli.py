@@ -2,9 +2,10 @@
 
 Exit codes separate scientific outcome from tool failure: 0 means
 identifiable (or plain success), 2 means a sound NotIdentifiable verdict,
-and 1 means usage, IO, or estimation errors.  ``--json`` switches every
-command from human-readable text to the JSON documents defined by the
-library modules.
+and 1 means usage, IO, or estimation errors.  ``--json`` switches
+``check-*``, ``oracle-*``, ``estimate-*``, ``change`` and ``simulate``
+from human-readable text to the JSON documents defined by the library
+modules; ``figures`` prints its text table only and takes no flag.
 """
 
 import argparse
@@ -111,7 +112,7 @@ def _oracle_text(args, verdict):
                        f"compatible model; {verdict.formula}")
     text = head + ("not identifiable: no single adjustment set serves "
                    "every compatible model")
-    for i, g in enumerate(verdict.witness or (), start=1):
+    for i, g in enumerate(verdict.witness, start=1):
         body = "    ".join(g.to_edge_list().splitlines(True))
         text += f"\nwitness model {i}:\n    {body.rstrip()}"
     return text

@@ -235,7 +235,8 @@ def _parse_edge_list_text(text):
                 first[name] = None
         if len(names) == 2:
             if names[0] == names[1]:
-                raise ParseError(lineno, f"self-loop on {names[0]!r}")
+                raise ParseError(
+                    lineno, f"self-loop on {names[0]!r} is not allowed")
             edges.append(names)
     return list(first), edges
 

@@ -133,10 +133,15 @@ class IdentificationVerdict:
     ``adjustment_set`` is present (a tuple in vertex order) exactly when
     ``kind`` is AdjustmentIdentifiable.  ``condition`` names the clause that
     fired (A.1 through D.2), or "none" for NotIdentifiable and for verdicts
-    produced by brute-force search.  ``witness``, attached only by the
-    oracle on NotIdentifiable, is a pair of compatible DAGs that no single
-    adjustment set serves.  ``effect`` is TOTAL or DIRECT, the effect the
-    verdict is about; it is not part of :meth:`as_dict`.
+    produced by brute-force search.  The oracle's adjustment set is *the*
+    set admissible in every compatible model: no other is.  ``witness``,
+    attached by the oracle to every NotIdentifiable verdict it gives and
+    never by the closed form, is a pair of compatible DAGs whose
+    admissible-set families are disjoint, so no single adjustment set
+    serves both.  (Both oracle facts are proved under a shared order and
+    checked up to the 5-vertex cap in general.)  ``effect`` is TOTAL or
+    DIRECT, the effect the verdict is about; it is not part of
+    :meth:`as_dict`.
     """
 
     kind: str

@@ -55,8 +55,13 @@ def test_graphs_print_hash_and_compare_by_vertices_and_edges():
 
 
 def test_self_loop_rejected():
-    with pytest.raises(ValueError, match="self-loop"):
+    """The constructor and the edge-list parser word a self-loop alike."""
+    with pytest.raises(ValueError,
+                       match=r"^self-loop on 'A' is not allowed$"):
         DifferenceGraph(edges=[("A", "A")])
+    with pytest.raises(ParseError,
+                       match=r"^line 2: self-loop on 'A' is not allowed$"):
+        DifferenceGraph.from_edge_list("B -> A\nA -> A\n")
 
 
 @pytest.mark.parametrize("bad", ["", "a b", "a,b", "a\tb"])
