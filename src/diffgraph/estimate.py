@@ -47,6 +47,11 @@ _KEYS_PER_ROW = 4
 # Rows a rejected CSV file is read in while its first fault is sought.
 _FAULT_BLOCK = 1024
 
+# Characters of a discrete CSV body read at a time while its layout and
+# bytes are checked: a block and its arrays stay near 128 KB whatever the
+# file's size, and a file that leaves the layout early costs one block.
+_READ_CHARS = 1 << 15
+
 # Rows formatted per write: the text and the boxed floats of one block stay
 # small whatever the number of rows.
 _WRITE_BLOCK = 4096
@@ -144,10 +149,14 @@ class Dataset:
         names; empty lines are skipped, and a ``#`` is no comment but a bad
         cell.  Every ValueError names ``path``.
 
-        A discrete file whose cells are all plain integers is read as
-        integers.  Any other cell sends the whole file through the double
-        reader, so every value reads as the same double either way and
-        every message is the same."""
+        A discrete file is read by the first of three steps that applies
+        (``_discrete_rows``): lines that all share the byte layout of the
+        first, digit cells only, are read without parsing; lines whose
+        layout breaks on a ``.`` or a byte above ``9`` (a letter, ``_``) go
+        straight to the double reader; other lines are parsed as int64,
+        and a cell that is no plain integer sends the whole file through
+        the double reader.  So every value reads as the same double
+        whichever step reads it, and every message is the same."""
         try:
             with open(path, "r", encoding="utf-8-sig") as fh:
                 header = fh.readline().strip()
@@ -161,7 +170,8 @@ class Dataset:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)
                     try:
-                        data = _integer_rows(fh) if kind == DISCRETE else None
+                        data = (_discrete_rows(fh, len(names))
+                                if kind == DISCRETE else None)
                         if data is None:
                             data = np.loadtxt(fh, delimiter=",", ndmin=2,
                                               comments=None)
@@ -188,6 +198,93 @@ class Dataset:
             for start in range(0, len(self), _WRITE_BLOCK):
                 block = self.rows[start:start + _WRITE_BLOCK]
                 fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _discrete_rows(fh, width):
+    """The data lines of ``fh`` as floats, read by the first of three steps
+    that applies, or None when only the double reader can read them; ``fh``
+    is left where it was.  Every step gives the double reader's values,
+    except that -0 reads as +0.
+
+    1. A body whose lines share the byte layout of the first, ``width``
+       digit cells, is read without parsing (``_layout``).
+    2. Else, when the block of lines that breaks the layout holds a ``.``
+       or an ASCII byte above ``9``, which no plain integer cell holds, the
+       body is left to the double reader unparsed.
+    3. Any other body is parsed as int64 (``_integer_rows``)."""
+    start = fh.tell()
+    layout, kept = None, []
+    for text in iter(lambda: fh.read(_READ_CHARS), ""):
+        text += fh.readline()  # a block ends at a line end
+        if layout is None:
+            layout = _layout(text, width)
+        codes = None if layout is None else _layout_codes(text, layout)
+        if codes is None:
+            fh.seek(start)
+            return _integer_rows(fh) if _may_be_integers(text) else None
+        kept.append(codes)
+    fh.seek(start)
+    if not kept:
+        return _integer_rows(fh)
+    return _horner(np.concatenate(kept), layout[1])
+
+
+def _may_be_integers(text):
+    """False when ``text`` holds a ``.`` or an ASCII byte above ``9``."""
+    return "." not in text and not (
+        text.isascii()
+        and np.frombuffer(text.encode("ascii"), np.uint8).max() > ord("9"))
+
+
+def _layout(text, width):
+    """The byte layout of the first line of ``text`` when it is ``width``
+    cells of 1 to 15 ASCII digits, so every code is below 2**53, each ended
+    by a comma or, the last, by a newline; else None.  The layout is the
+    line's bytes with each digit taken down to ``0``, the columns of its
+    commas and newline, and the columns ``_layout_codes`` keeps: the
+    digits, then the newline's, which holds 0 there."""
+    first = text[:text.find("\n") + 1]
+    cells = first[:-1].split(",")
+    if not (first.isascii() and len(cells) == width and all(
+            c.isdigit() and len(c) <= 15 for c in cells)):
+        return None
+    line = np.frombuffer(first.encode("ascii"), np.uint8)
+    digit = line >= ord("0")  # commas and the newline sit below it
+    ends = np.flatnonzero(~digit)
+    return (np.where(digit, np.uint8(ord("0")), line), ends,
+            np.append(np.flatnonzero(digit), ends[-1]))
+
+
+def _layout_codes(text, layout):
+    """The kept columns of the lines ``text`` less the layout's bytes, a
+    uint8 array of digit values, or None unless every line has the
+    layout."""
+    low, ends, keep = layout
+    if not text.isascii() or len(text) % len(low):
+        return None
+    codes = np.frombuffer(text.encode("ascii"), np.uint8).reshape(
+        -1, len(low)) - low
+    # a digit column holds its digit's value and a separator column 0,
+    # while any other byte wraps around to more than 9 or leaves a
+    # separator column nonzero
+    if codes.max() > 9 or codes[:, ends].any():
+        return None
+    return codes[:, keep]
+
+
+def _horner(codes, ends):
+    """Each cell's code from the kept digit columns ``codes`` of a layout
+    whose commas and newline sit at ``ends``, as floats."""
+    size = np.diff(ends, prepend=-1) - 1
+    # row p: each cell's column of its digit worth 10**p, or the last,
+    # zero column where the cell has none
+    place = np.arange(size.max())[:, None]
+    column = np.where(place < size, np.cumsum(size) - 1 - place, -1)
+    data = codes[:, column[-1]].astype(float, order="C")
+    for digits in column[-2::-1]:
+        data *= 10
+        data += codes[:, digits]
+    return data
 
 
 def _integer_rows(fh):

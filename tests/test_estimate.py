@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffgraph import (
@@ -27,6 +27,7 @@ from diffgraph import (
     partial_regression_coefficient,
     EffectQuery,
 )
+from diffgraph import estimate
 from diffgraph.estimate import _WRITE_BLOCK, _first_fault, _joint_counts
 from helpers import DG_1H, DG_1M, joint_counts_by_sorting
 
@@ -249,10 +250,12 @@ def test_from_csv_names_the_first_fault_past_the_first_block(tmp_path, row):
 def _from_csv_by_doubles(path):
     """What ``from_csv(path, DISCRETE)`` gives when every cell is read as a
     double: the rows, or the full error text."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         names = fh.readline().strip().split(",")
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            if data.size and data.shape[1] != len(names):
+                raise ValueError("rows and header differ in width")
         except ValueError:
             fh.seek(0)
             fh.readline()
@@ -302,6 +305,128 @@ def test_a_late_double_cell_rereads_a_discrete_file(tmp_path, cell):
     path.write_text("\n".join(lines) + "\n")
     rows = _assert_reads_as_doubles(path)
     assert (rows is None) == (cell == "1.5")
+
+
+def _loadtxt_dtypes(monkeypatch):
+    """The dtype of every later ``np.loadtxt`` call, in order."""
+    dtypes, loadtxt = [], np.loadtxt
+
+    def spy(*args, dtype=float, **kwargs):
+        dtypes.append(dtype)
+        return loadtxt(*args, dtype=dtype, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return dtypes
+
+
+@pytest.mark.parametrize("cell", ["1.0", "1e0", "nan", "1_0", "1.5"])
+def test_a_body_no_integer_parse_can_take_goes_straight_to_doubles(
+        tmp_path, monkeypatch, cell):
+    """A '.' or a byte above '9' in the block of lines where the fixed
+    layout breaks, here on row 11, skips the int64 parse, which would
+    fail at that cell on row 3,000 after parsing the rows before it."""
+    lines = (["X,Y"] + [f"{r % 3},{r % 20}" for r in range(2999)]
+             + [f"2,{cell}"])
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    dtypes = _loadtxt_dtypes(monkeypatch)
+    _assert_reads_as_doubles(path)
+    assert np.int64 not in dtypes
+    # variable-width plain integers are still parsed as int64, once
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    dtypes.clear()
+    Dataset.from_csv(path, DISCRETE)
+    assert dtypes == [np.int64]
+
+
+def test_a_fixed_layout_file_is_read_without_the_numpy_reader(tmp_path,
+                                                              monkeypatch):
+    """Single-digit and zero-padded codes, LF or CRLF, read right with
+    ``np.loadtxt`` made to fail, so a silent fall-through to a parser
+    cannot hide behind right values."""
+    single = np.arange(3000)[:, None] % np.array([3, 2, 10])
+    padded = np.arange(3000)[:, None] % np.array([3, 2, 997])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on a fixed-layout file")
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    # several blocks, the last one short
+    monkeypatch.setattr(estimate, "_READ_CHARS", 10_000)
+    for cells, newline, codes in (("%d,%d,%d", "\n", single),
+                                  ("%d,%d,%03d", "\n", padded),
+                                  ("%02d,%d,%03d", "\r\n", padded)):
+        path = tmp_path / "d.csv"
+        path.write_text("\ufeffX,Y,Z" + newline + "".join(
+            cells % tuple(r) + newline for r in codes.tolist()), newline="")
+        data = Dataset.from_csv(path, DISCRETE)
+        assert data.variable_names == ("X", "Y", "Z")
+        # the row-major float array the numpy readers give
+        assert data.rows.dtype == np.float64 and data.rows.flags.c_contiguous
+        assert np.array_equal(data.rows, codes)
+
+
+# one change that takes a file off its fixed layout, or none
+_LAYOUT_MISSES = [None, "longer row", "no final newline", "blank lines",
+                  "separator", "+1", " 1", "-0", "1.0"]
+
+
+@st.composite
+def _fixed_layout_files(draw):
+    """A discrete CSV file whose data lines share one byte layout of
+    zero-padded codes, or miss it by one change: its text, its width and
+    the change."""
+    width = draw(st.integers(1, 6))
+    sizes = draw(st.one_of(
+        st.just([1] * width),
+        st.lists(st.sampled_from([1, 2, 3, 15, 16]), min_size=width,
+                 max_size=width)))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 10 ** s - 1)
+                                     for s in sizes]),
+                         min_size=1, max_size=6))
+    lines = [",".join(f"{v:0{s}d}" for v, s in zip(row, sizes))
+             for row in rows]
+    miss = draw(st.sampled_from(_LAYOUT_MISSES))
+    r = draw(st.integers(0, len(lines) - 1))
+    if miss == "longer row":
+        lines[r] = "0" + lines[r]
+    elif miss == "separator":
+        lines[r] = lines[r].replace(",", ".", 1) if width > 1 else "1.5"
+    elif miss in ("+1", " 1", "-0", "1.0"):
+        cells = lines[r].split(",")
+        cells[draw(st.integers(0, width - 1))] = miss
+        lines[r] = ",".join(cells)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join([",".join(f"V{j}" for j in range(width))] + lines)
+    if miss != "no final newline":
+        text += newline
+    if miss == "blank lines":
+        text += newline * draw(st.integers(1, 4))
+    return draw(st.sampled_from(["", "\ufeff"])) + text, width, miss
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_fixed_layout_files(), chars=st.sampled_from([1, 5, 64, 1 << 15]))
+@example(case=("X,Y\n1,2\n1.2\n", 2, "separator"), chars=1 << 15)
+@example(case=("X,Y\n1,2\n11,2\n", 2, "longer row"), chars=1)
+def test_fixed_layout_files_and_near_misses_read_as_doubles(
+        tmp_path_factory, case, chars):
+    """Each file reads as the double reader reads it, its body taken in
+    blocks of about ``chars`` characters."""
+    text, width, miss = case
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_text(text, newline="")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimate, "_READ_CHARS", chars)
+        _assert_reads_as_doubles(path)
+        if miss is None:
+            # no numpy reader runs unless a cell is too long for the layout
+            longest = max(len(cell) for line in text.splitlines()[1:]
+                          for cell in line.split(","))
+            dtypes = _loadtxt_dtypes(patch)
+            try:
+                Dataset.from_csv(path, DISCRETE)
+            except ValueError:
+                assert longest > 15  # a 16-digit code of 2**53 or more
+            assert (dtypes == []) == (longest <= 15)
 
 
 _CSV_NAMES = st.lists(st.sampled_from(["X", "Y", "W1", "W2", "Z"]),
