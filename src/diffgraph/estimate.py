@@ -84,6 +84,13 @@ class Dataset:
         which a float holds every integer exactly; the cardinality of a
         variable is one plus its largest observed code.
 
+    Continuous rows are kept as a float64 matrix.  Discrete rows are kept as
+    one int64 matrix in column-major order, so each column is contiguous.
+    Integer input (any signed or unsigned dtype, or lists of ints) is
+    checked in its own dtype before it is cast, so no code wraps; other
+    input is checked as floats, then cast once.  Either way a bad cell
+    gets the message of its float twin.
+
     A bad cell is reported by the first one in row-major order, as "row r,
     column 'name'" with rows counted from 1.
     """
@@ -97,7 +104,9 @@ class Dataset:
             raise ValueError(f"duplicate variable name {dup!r}")
         if kind not in (DISCRETE, CONTINUOUS):
             raise ValueError(f"kind must be {DISCRETE!r} or {CONTINUOUS!r}")
-        data = np.asarray(rows, dtype=float)
+        data = np.asarray(rows)
+        if kind == CONTINUOUS or data.dtype.kind not in "iu":
+            data = np.asarray(data, dtype=float)
         if data.ndim != 2:
             raise ValueError(f"rows must be a matrix, got shape {data.shape}")
         if data.shape[0] == 0:
@@ -105,23 +114,30 @@ class Dataset:
         if data.shape[1] != len(names):
             raise ValueError(f"{len(names)} variable names but "
                              f"{data.shape[1]} columns per row")
-        if not np.all(np.isfinite(data)):
+        if data.dtype.kind == "f" and not np.all(np.isfinite(data)):
             raise ValueError(
                 f"non-finite cell at {_first_cell(names, ~np.isfinite(data))}")
         if kind == DISCRETE:
-            # the non-negative integers are the fixed points of |floor(v)|
-            floor = np.floor(data)
-            bad = data != np.abs(floor, out=floor)
+            # an integer matrix is checked in its own dtype, so no code
+            # wraps; an integer is at or above 2**53 exactly when its float
+            # is, so a bad cell gets the message of its float twin
+            if data.dtype.kind == "f":
+                # the non-negative integers are the fixed points of |floor(v)|
+                floor = np.floor(data)
+                bad = data != np.abs(floor, out=floor)
+            else:
+                bad = data < 0
             if bad.any():
                 raise ValueError(
                     "discrete data must be non-negative integer codes, got "
-                    f"{data[bad][0]:g} at {_first_cell(names, bad)}")
-            if data.max(initial=0) >= 2.0 ** 53:
-                big = data >= 2.0 ** 53
+                    f"{float(data[bad][0]):g} at {_first_cell(names, bad)}")
+            if data.max(initial=0) >= 2 ** 53:
+                big = data >= 2 ** 53
                 raise ValueError(
                     "discrete codes must be below 2**53, below which a float "
                     "holds every integer exactly, got "
-                    f"{data[big][0]:g} at {_first_cell(names, big)}")
+                    f"{float(data[big][0]):g} at {_first_cell(names, big)}")
+            data = np.asfortranarray(data, dtype=np.int64)
         self.variable_names = names
         self.rows = data
         self.kind = kind
@@ -136,8 +152,9 @@ class Dataset:
         return self.rows[:, self._index[name]]
 
     def codes(self, name):
-        """Integer codes of a discrete column."""
-        return self.column(name).astype(np.int64)
+        """Integer codes of a discrete column: a contiguous int64 view of
+        the stored rows, not a copy."""
+        return self.column(name)
 
     def cardinality(self, name):
         """1 + largest observed code of a discrete column."""
@@ -155,8 +172,8 @@ class Dataset:
         layout breaks on a ``.`` or a byte above ``9`` (a letter, ``_``) go
         straight to the double reader; other lines are parsed as int64,
         and a cell that is no plain integer sends the whole file through
-        the double reader.  So every value reads as the same double
-        whichever step reads it, and every message is the same."""
+        the double reader.  So every value reads as the same code whichever
+        step reads it, and every message is the same."""
         try:
             with open(path, "r", encoding="utf-8-sig") as fh:
                 header = fh.readline().strip()
@@ -201,10 +218,10 @@ class Dataset:
 
 
 def _discrete_rows(fh, width):
-    """The data lines of ``fh`` as floats, read by the first of three steps
-    that applies, or None when only the double reader can read them; ``fh``
-    is left where it was.  Every step gives the double reader's values,
-    except that -0 reads as +0.
+    """The data lines of ``fh`` as an int64 matrix, read by the first of
+    three steps that applies, or None when only the double reader can read
+    them; ``fh`` is left where it was.  Every step gives the codes of the
+    double reader's values, so -0 reads as 0.
 
     1. A body whose lines share the byte layout of the first, ``width``
        digit cells, is read without parsing (``_layout``).
@@ -274,32 +291,35 @@ def _layout_codes(text, layout):
 
 def _horner(codes, ends):
     """Each cell's code from the kept digit columns ``codes`` of a layout
-    whose commas and newline sit at ``ends``, as floats."""
+    whose commas and newline sit at ``ends``, as an int64 matrix in
+    column-major order.  At most 15 digits a cell keep every code below
+    2**53."""
     size = np.diff(ends, prepend=-1) - 1
     # row p: each cell's column of its digit worth 10**p, or the last,
     # zero column where the cell has none
     place = np.arange(size.max())[:, None]
     column = np.where(place < size, np.cumsum(size) - 1 - place, -1)
-    data = codes[:, column[-1]].astype(float, order="C")
-    for digits in column[-2::-1]:
+    # the digit columns as rows, so each cell's codes build up in one
+    # contiguous row
+    digits = codes.T
+    data = digits[column[-1]].astype(np.int64)
+    for kept in column[-2::-1]:
         data *= 10
-        data += codes[:, digits]
-    return data
+        data += digits[kept]
+    return data.T
 
 
 def _integer_rows(fh):
-    """The data lines of ``fh``, parsed as int64 and returned as floats,
-    or None with ``fh`` back where it was when a cell is no plain integer.
-    The int64 array is freed here, before ``Dataset`` checks the floats.
-    A float cell is refused, not truncated: numpy versions that cast
-    ``1.5`` to 1 warn that they do, and the warning is taken as a
-    refusal."""
+    """The data lines of ``fh`` parsed as an int64 matrix, or None with
+    ``fh`` back where it was when a cell is no plain integer.  A float cell
+    is refused, not truncated: numpy versions that cast ``1.5`` to 1 warn
+    that they do, and the warning is taken as a refusal."""
     start = fh.tell()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             return np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2,
-                              comments=None).astype(float)
+                              comments=None)
     except (ValueError, DeprecationWarning):
         fh.seek(start)
         return None

@@ -37,6 +37,15 @@ def _check_label(name):
             f"variable name {name!r} contains whitespace or a comma")
 
 
+def _check_vertex(name):
+    """A vertex name is a label that edge-list text can hold: a ``#``
+    would start a comment there, and a ``->`` an edge."""
+    _check_label(name)
+    if "#" in name or "->" in name:
+        raise ValueError(f"vertex name {name!r} contains '#' or '->', which "
+                         "the edge-list format cannot hold")
+
+
 class _Digraph:
     """Common machinery for both graph flavors.
 
@@ -54,23 +63,29 @@ class _Digraph:
         index = {}
         for v in vertices:
             if v not in index:
-                _check_label(v)
+                _check_vertex(v)
                 index[v] = len(index)
         edge_set = set()
         for tail, head in edges:
             for v in (tail, head):
                 if v not in index:
-                    _check_label(v)
+                    _check_vertex(v)
                     index[v] = len(index)
             if tail == head:
                 raise ValueError(f"self-loop on {tail!r} is not allowed")
             edge_set.add((tail, head))
+        self._build(index, edge_set)
+
+    def _build(self, index, edges):
+        """Set the graph from ``index``, each checked vertex name mapped to
+        its position, and a set of ``edges`` between them, none a
+        self-loop."""
         self._index = index
         self._vertices = tuple(index)
-        self._edges = frozenset(edge_set)
+        self._edges = frozenset(edges)
         self._parents = {v: [] for v in index}
         self._children = {v: [] for v in index}
-        for tail, head in edge_set:
+        for tail, head in self._edges:
             self._parents[head].append(tail)
             self._children[tail].append(head)
         for v in index:
@@ -203,13 +218,17 @@ class _Digraph:
         ParseError
             On any malformed line, with the 1-based line number.
         """
-        vertices, edges = _parse_edge_list_text(text)
-        return cls(vertices=vertices, edges=edges)
+        graph = cls.__new__(cls)
+        graph._build(*_parse_edge_list_text(text))
+        return graph
 
 
 def _parse_edge_list_text(text):
-    first = {}  # names in order of first appearance
-    edges = []
+    """The vertex index of ``text``, each name checked once and mapped to
+    its position in order of first appearance, and its set of edges.  No
+    name the parser keeps holds a ``#`` or a ``->``."""
+    first = {}
+    edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -232,13 +251,13 @@ def _parse_edge_list_text(text):
                     _check_label(name)
                 except ValueError as exc:
                     raise ParseError(lineno, str(exc)) from None
-                first[name] = None
+                first[name] = len(first)
         if len(names) == 2:
             if names[0] == names[1]:
                 raise ParseError(
                     lineno, f"self-loop on {names[0]!r} is not allowed")
-            edges.append(names)
-    return list(first), edges
+            edges.add(names)
+    return first, edges
 
 
 class DifferenceGraph(_Digraph):
@@ -262,7 +281,12 @@ class CausalDag(_Digraph):
     """
 
     def __init__(self, vertices=(), edges=()):
+        # an __init__ of its own, which bench/tracing.py times as DAG
+        # construction apart from that of difference graphs
         super().__init__(vertices=vertices, edges=edges)
+
+    def _build(self, index, edges):
+        super()._build(index, edges)
         if not self.is_acyclic():
             parents = self._parents
             on_cycle = [v for v in self._vertices

@@ -75,13 +75,14 @@ mask whose bit i*n + j holds the edge i -> j.  A query builds no
 
 Memos are functools caches whose sizes are bounded, so a long sweep keeps
 bounded memory: the DAG enumeration per n, the compatible masks of the
-last COMPATIBLE_MEMO_SIZE difference graphs as int64 arrays, and one
-family table per (n, X, Y, effect), with a slot per DAG of the
-enumeration.  There are 80 such keys up to the cap, so the tables never
-evict and take at most 9.4 MB.  A query computes the families only of its
-compatible DAGs whose slots are still empty, in one array call.  A
-repeated query on a difference graph still in the memo computes no
-family, but a NotIdentifiable one builds its two witness DAGs again.
+last COMPATIBLE_MEMO_SIZE difference graphs with their slots in that
+enumeration, as int64 arrays, and one family table per (n, X, Y,
+effect), with a slot per DAG of the enumeration.  There are 80 such keys
+up to the cap, so the tables never evict and take at most 9.4 MB.  A
+query computes the families only of its compatible DAGs whose slots are
+still empty, in one array call.  A repeated query on a difference graph
+still in the memo computes no family and searches no slot, but a
+NotIdentifiable one builds its two witness DAGs again.
 """
 
 from functools import lru_cache
@@ -102,7 +103,7 @@ from .identify import (
 
 VERTEX_CAP = 5
 # A 5-vertex difference graph has at most 29,281 compatible DAGs (all of
-# them, for the empty graph), 234 KB of memo as an int64 array.
+# them, for the empty graph), 468 KB of memo as int64 masks and slots.
 COMPATIBLE_MEMO_SIZE = 32
 
 
@@ -284,9 +285,10 @@ def _criterion(g, x, y, w, pivot, edges):
 
 
 def _checked_setup(d, shared_order):
-    """n, the vertex index, D's edge mask and the compatible masks.  Any
-    general-regime D has a compatible DAG (orient D along a vertex order),
-    a shared-order D exactly when acyclic: only an empty set is checked."""
+    """n, the vertex index, D's edge mask, the compatible masks and their
+    slots in ``_all_dag_masks(n)``.  Any general-regime D has a compatible
+    DAG (orient D along a vertex order), a shared-order D exactly when
+    acyclic: only an empty set is checked."""
     n = len(d.vertices)
     if n > VERTEX_CAP:
         raise ValueError(
@@ -294,16 +296,17 @@ def _checked_setup(d, shared_order):
             f"got {n}")
     index = {v: i for i, v in enumerate(d.vertices)}
     d_mask = _mask_of(n, [(index[t], index[h]) for t, h in d.edges])
-    masks = _compatible_masks(n, d_mask, shared_order)
+    masks, slots = _compatible_masks(n, d_mask, shared_order).T
     if not len(masks):
         check_shared_order(d, shared_order)
-    return n, index, d_mask, masks
+    return n, index, d_mask, masks, slots
 
 
 @lru_cache(maxsize=COMPATIBLE_MEMO_SIZE)
 def _compatible_masks(n, d_mask, shared_order):
-    """Masks of every DAG appearing in some compatible pair, as an
-    ascending read-only int64 array.
+    """Masks of every DAG appearing in some compatible pair, ascending, and
+    their slots in ``_all_dag_masks(n)``: a read-only int64 array with a
+    row per DAG, its mask then its slot, stored column by column.
 
     A DAG G has a compatible partner exactly when its minimal partner, the
     symmetric difference G xor D, is itself a DAG (adding optional shared
@@ -313,7 +316,8 @@ def _compatible_masks(n, d_mask, shared_order):
     """
     masks = _all_dag_masks(n)
     combined = masks | d_mask if shared_order else masks ^ d_mask
-    compatible = masks[_is_dag(n, combined)]
+    slots = np.flatnonzero(_is_dag(n, combined))
+    compatible = np.stack([masks[slots], slots]).T
     compatible.flags.writeable = False
     return compatible
 
@@ -338,7 +342,7 @@ def enumerate_compatible_dags(d, shared_order=False):
     order.  Raises ValueError beyond the 5-vertex cap, and in shared-order
     mode when ``d`` is cyclic (no compatible pair exists at all).
     """
-    masks = _checked_setup(d, shared_order)[-1].tolist()
+    masks = _checked_setup(d, shared_order)[3].tolist()
     return tuple(_dag_from_mask(d.vertices, mask) for mask in masks)
 
 
@@ -354,7 +358,7 @@ def draw_compatible_dags(d, shared_order, rng):
     """A compatible DAG pair for ``d`` within the cap: G1 uniform over the
     compatible DAGs, then G2 uniform over G1's partners in ascending mask
     order, by one ``rng.integers`` call each."""
-    _, _, d_mask, masks = _checked_setup(d, shared_order)
+    _, _, d_mask, masks, _ = _checked_setup(d, shared_order)
     g1_mask = int(masks[rng.integers(len(masks))])
     partners = _partner_masks(masks, d_mask, g1_mask)
     g2_mask = int(partners[rng.integers(len(partners))])
@@ -362,7 +366,7 @@ def draw_compatible_dags(d, shared_order, rng):
 
 
 def _oracle(d, x, y, shared_order, effect):
-    n, index, _, masks = _checked_setup(d, shared_order)
+    n, index, _, masks, slots = _checked_setup(d, shared_order)
     EffectQuery(d, x, y)  # _checked_setup has checked the shared order
     xi, yi = index[x], index[y]
 
@@ -372,7 +376,6 @@ def _oracle(d, x, y, shared_order, effect):
         return _verdict(effect, NULL_EFFECT, x, y)
 
     table = _family_table(n, xi, yi, effect)
-    slots = np.searchsorted(_all_dag_masks(n), masks)
     families = table[slots]
     todo = families < 0
     if todo.any():

@@ -226,7 +226,7 @@ def test_closed_form_is_sound_on_five_vertices():
         d = DifferenceGraph(vertices=names,
                             edges=[e for e, k in zip(pairs, keep) if k])
         for shared in (False, True) if d.is_acyclic() else (False,):
-            n, index, _, masks = _checked_setup(d, shared)
+            n, index, _, masks, _ = _checked_setup(d, shared)
             for x, y in itertools.permutations(names, 2):
                 q = EffectQuery(d, x, y, shared_order_assumed=shared)
                 for identify, oracle, effect in (

@@ -105,7 +105,7 @@ def test_discrete_codes_above_two_to_the_53_are_rejected(tmp_path):
             assert message.endswith("at row 2, column 'Y'")
         codes = np.array([[0], [2 ** 53 - 1]], dtype=dtype)
         data = Dataset(["X"], codes, DISCRETE)
-        assert data.rows.dtype == np.float64
+        assert data.rows.dtype == np.int64 and data.rows.flags.f_contiguous
         assert data.codes("X").tolist() == [0, 2 ** 53 - 1]
     # continuous data keeps any finite value
     assert Dataset(["X"], [[1e19]], CONTINUOUS).column("X")[0] == 1e19
@@ -147,12 +147,12 @@ def test_dataset_csv_round_trip(tmp_path):
     assert np.array_equal(again.rows, cont.rows)
 
 
-def _savetxt_bytes(data):
+def _savetxt_bytes(names, rows, kind):
     """The bytes of the row-at-a-time writer that ``to_csv`` replaced:
-    numpy's ``savetxt``, kept as the reference."""
+    numpy's ``savetxt`` of the float ``rows``, kept as the reference."""
     out = io.StringIO()
-    out.write(",".join(data.variable_names) + "\n")
-    np.savetxt(out, data.rows, fmt="%d" if data.kind == DISCRETE else "%.17g",
+    out.write(",".join(names) + "\n")
+    np.savetxt(out, rows, fmt="%d" if kind == DISCRETE else "%.17g",
                delimiter=",")
     return out.getvalue().encode("utf-8")
 
@@ -180,10 +180,17 @@ def test_to_csv_writes_the_bytes_of_savetxt(tmp_path, n):
                               or layouts[3].flags.c_contiguous)
         for rows in layouts:
             data = Dataset(["a", "b", "c"][:rows.shape[1]], rows, kind)
-            assert data.rows.strides == rows.strides
+            if kind == CONTINUOUS:
+                assert data.rows.strides == rows.strides
+            else:
+                # one int64 column-major copy, whatever the float layout
+                assert data.rows.dtype == np.int64
+                assert data.rows.flags.f_contiguous
+                assert np.array_equal(data.rows, rows)
             path = tmp_path / "d.csv"
             data.to_csv(path)
-            assert path.read_bytes() == _savetxt_bytes(data)
+            assert path.read_bytes() == _savetxt_bytes(data.variable_names,
+                                                       rows, kind)
 
 
 def test_from_csv_drops_a_byte_order_mark(tmp_path):
@@ -248,8 +255,9 @@ def test_from_csv_names_the_first_fault_past_the_first_block(tmp_path, row):
 
 
 def _from_csv_by_doubles(path):
-    """What ``from_csv(path, DISCRETE)`` gives when every cell is read as a
-    double: the rows, or the full error text."""
+    """The header names of a discrete CSV file, then its rows as numpy's
+    double reader gives them, or the full error text when that reader
+    fails."""
     with open(path, encoding="utf-8-sig") as fh:
         names = fh.readline().strip().split(",")
         try:
@@ -259,11 +267,8 @@ def _from_csv_by_doubles(path):
         except ValueError:
             fh.seek(0)
             fh.readline()
-            return f"{path}: {_first_fault(fh, names)}"
-    try:
-        return Dataset(names, data, DISCRETE).rows
-    except ValueError as exc:
-        return f"{path}: {exc}"
+            return names, f"{path}: {_first_fault(fh, names)}"
+    return names, data
 
 
 # plain integers, cells only the double reader takes, and cells neither takes
@@ -271,19 +276,72 @@ _DISCRETE_CELLS = ["007", "+1", " 1", "1 ", "-0", "-1", "1.0", "1.", "1e0",
                    "1.0000000000000001", "nan", "1_0", "", "9007199254740993",
                    "9223372036854775808", "99999999999999999999"]
 
+def _int64_only(reader):
+    """``reader``, asserting that the codes it reads come as int64."""
+    def read(fh, width):
+        codes = reader(fh, width)
+        assert codes is None or codes.dtype == np.int64
+        return codes
+    return read
+
+
+# stand-ins for _discrete_rows that force each reader path of from_csv: the
+# fixed layout first, the int64 parse, the double reader
+_DISCRETE_READERS = [
+    _int64_only(estimate._discrete_rows),
+    _int64_only(lambda fh, width: estimate._integer_rows(fh)),
+    lambda fh, width: None,
+]
+
+
+def _rows_or_message(read, *args):
+    """``read(*args).rows``, or the text of the ValueError it raises."""
+    try:
+        return read(*args).rows
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_codes(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert got.dtype == np.int64 and got.flags.f_contiguous
+        assert got.shape == expected.shape and (got == expected).all()
+
 
 def _assert_reads_as_doubles(path):
-    """``from_csv(path, DISCRETE)`` gives the rows, compared with ``==``, or
-    the full error text of ``_from_csv_by_doubles``; the rows are returned."""
-    expected = _from_csv_by_doubles(path)
-    try:
-        rows = Dataset.from_csv(path, DISCRETE).rows
-    except ValueError as exc:
-        assert str(exc) == expected
-        return None
-    assert not isinstance(expected, str), expected
-    assert rows.shape == expected.shape and (rows == expected).all()
-    return rows
+    """``from_csv(path, DISCRETE)`` gives the codes of the double reader's
+    rows, as an int64 column-major matrix, or the full error text of
+    ``_from_csv_by_doubles``, whichever reader path it takes, and a reader
+    that reads the codes gives them as int64.  A ``Dataset`` built from
+    those rows as floats, as int64 and uint64 arrays that hold them
+    exactly, and as lists gives the same codes or message.  The codes are
+    returned, or None."""
+    names, expected = _from_csv_by_doubles(path)
+    if not isinstance(expected, str):
+        doubles = expected
+        forms = [doubles.tolist()]
+        for dtype in (np.int64, np.uint64):
+            info = np.iinfo(dtype)
+            # float(info.max) rounds up to 2**63 or 2**64
+            if ((doubles % 1 == 0) & (info.min <= doubles)
+                    & (doubles < float(info.max))).all():
+                forms += [doubles.astype(dtype),
+                          doubles.astype(dtype).tolist()]
+        expected = _rows_or_message(Dataset, names, doubles, DISCRETE)
+        for rows in forms:
+            _assert_same_codes(
+                _rows_or_message(Dataset, names, rows, DISCRETE), expected)
+        if isinstance(expected, str):
+            expected = f"{path}: {expected}"
+    with pytest.MonkeyPatch.context() as patch:
+        for reader in _DISCRETE_READERS:
+            patch.setattr(estimate, "_discrete_rows", reader)
+            _assert_same_codes(
+                _rows_or_message(Dataset.from_csv, path, DISCRETE), expected)
+    return None if isinstance(expected, str) else expected
 
 
 @pytest.mark.parametrize("cell", _DISCRETE_CELLS)
@@ -328,8 +386,9 @@ def test_a_body_no_integer_parse_can_take_goes_straight_to_doubles(
              + [f"2,{cell}"])
     path = tmp_path / "d.csv"
     path.write_text("\n".join(lines) + "\n")
-    dtypes = _loadtxt_dtypes(monkeypatch)
     _assert_reads_as_doubles(path)
+    dtypes = _loadtxt_dtypes(monkeypatch)
+    _rows_or_message(Dataset.from_csv, path, DISCRETE)
     assert np.int64 not in dtypes
     # variable-width plain integers are still parsed as int64, once
     path.write_text("\n".join(lines[:-1]) + "\n")
@@ -359,8 +418,8 @@ def test_a_fixed_layout_file_is_read_without_the_numpy_reader(tmp_path,
             cells % tuple(r) + newline for r in codes.tolist()), newline="")
         data = Dataset.from_csv(path, DISCRETE)
         assert data.variable_names == ("X", "Y", "Z")
-        # the row-major float array the numpy readers give
-        assert data.rows.dtype == np.float64 and data.rows.flags.c_contiguous
+        # the int64 column-major matrix every reader gives
+        assert data.rows.dtype == np.int64 and data.rows.flags.f_contiguous
         assert np.array_equal(data.rows, codes)
 
 

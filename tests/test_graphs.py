@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,17 @@ def test_bad_labels_rejected(bad):
         DifferenceGraph(vertices=[bad])
 
 
+@pytest.mark.parametrize("bad", ["a#b", "#", "a->b", "->", "x->"])
+def test_labels_edge_list_text_cannot_hold_are_rejected(bad):
+    """'a#b' would read back as the vertex 'a', and 'a->b' as an edge."""
+    message = (f"^vertex name {re.escape(repr(bad))} contains '#' or '->', "
+               "which the edge-list format cannot hold$")
+    with pytest.raises(ValueError, match=message):
+        DifferenceGraph(vertices=[bad])
+    with pytest.raises(ValueError, match=message):
+        CausalDag(edges=[("A", bad)])
+
+
 def test_parents_children_in_vertex_order():
     g = DifferenceGraph(vertices=["C", "A", "B"],
                         edges=[("A", "D"), ("B", "D"), ("C", "D")])
@@ -107,6 +119,9 @@ def test_is_acyclic():
 def test_causal_dag_rejects_cycles():
     with pytest.raises(ValueError, match="cycle"):
         CausalDag(edges=[("X", "Y"), ("Y", "X")])
+    # from edge-list text too, which skips the constructor's name checks
+    with pytest.raises(ValueError, match=r"cycle through \['X', 'Y'\]\)"):
+        CausalDag.from_edge_list("X -> Y\nY -> X\n")
 
 
 def test_cycle_error_names_only_vertices_on_a_cycle():
@@ -238,9 +253,9 @@ def test_each_distinct_name_is_checked_once(monkeypatch):
                     edges=[("A", "B"), ("B", "C"), ("C", "A"), ("A", "B")])
     assert calls == {"A": 1, "B": 1, "C": 1}
     calls.clear()
-    # once in the parser, once in the constructor
+    # once, in the parser: the graph is built from the names it checked
     DifferenceGraph.from_edge_list("node A\nA -> B\nB -> C\nC -> A\nnode B\n")
-    assert calls == {"A": 2, "B": 2, "C": 2}
+    assert calls == {"A": 1, "B": 1, "C": 1}
 
 
 def test_sort_vertices_uses_graph_order():
@@ -328,3 +343,30 @@ def test_d_separation_matches_networkx(g, data):
 @given(dags(max_vertices=5))
 def test_edge_list_round_trip_property(g):
     assert CausalDag.from_edge_list(g.to_edge_list()) == g
+
+
+# labels near the edge-list syntax: comments, arrows, commas, spaces and
+# the 'node' keyword
+_LABELS = st.one_of(st.just("node"),
+                    st.text(alphabet="ab#->, \t", max_size=4))
+
+
+def _holds_in_edge_list(label):
+    return (label != "" and label.split() == [label]
+            and not any(c in label for c in ("#", "->", ",")))
+
+
+@settings(max_examples=300)
+@given(st.lists(_LABELS, max_size=6), st.data())
+def test_every_graph_the_constructor_accepts_round_trips(labels, data):
+    """The constructor refuses exactly the labels edge-list text cannot
+    hold, and every graph it builds reads back as itself."""
+    good = [label for label in labels if _holds_in_edge_list(label)]
+    for label in set(labels) - set(good):
+        with pytest.raises(ValueError):
+            DifferenceGraph(vertices=[label])
+    pairs = list(itertools.permutations(dict.fromkeys(good), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=6)
+                      if pairs else st.just([]))
+    g = DifferenceGraph(vertices=good, edges=edges)
+    assert DifferenceGraph.from_edge_list(g.to_edge_list()) == g

@@ -621,8 +621,10 @@ def test_families_a_query_reads_do_not_depend_on_earlier_queries():
     first = DifferenceGraph(vertices=names, edges=[("A", "B"), ("C", "D")])
     second = DifferenceGraph(vertices=names,
                              edges=[("B", "C"), ("A", "D"), ("D", "A")])
-    masks = oracle._compatible_masks(4, _dag_mask(second), False)
-    slots = np.searchsorted(oracle._all_dag_masks(4), masks)
+    masks, slots = oracle._compatible_masks(4, _dag_mask(second), False).T
+    # the memo holds each mask's slot in the table of every DAG
+    assert slots.tolist() \
+        == np.searchsorted(oracle._all_dag_masks(4), masks).tolist()
     queries = ((oracle_total, TOTAL), (oracle_direct, DIRECT))
     oracle._family_table.cache_clear()
     cold = [query(second, "A", "D").as_dict() for query, _ in queries]

@@ -111,7 +111,7 @@ def test_partners_are_every_dag_that_pairs_by_definition():
         for shared in (False, True):
             if shared and not d.is_acyclic():
                 continue
-            _, _, d_mask, compatible = _checked_setup(d, shared)
+            _, _, d_mask, compatible, _ = _checked_setup(d, shared)
             for g1 in compatible.tolist()[::1 if shared else 2]:
                 expected = [m for m, g2 in dags if is_compatible_pair(
                     by_mask[g1], g2, d, shared)]
