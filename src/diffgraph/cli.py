@@ -9,6 +9,7 @@ modules; ``figures`` prints its text table only and takes no flag.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -264,9 +265,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` uses, built once per process: building it costs
+    more than a fast subcommand, and parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except KeyError as exc:

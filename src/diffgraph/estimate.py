@@ -85,7 +85,8 @@ class Dataset:
         variable is one plus its largest observed code.
 
     Continuous rows are kept as a float64 matrix.  Discrete rows are kept as
-    one int64 matrix in column-major order, so each column is contiguous.
+    one int64 matrix in column-major order, so ``column`` gives each code
+    column as a contiguous int64 view, not a copy.
     Integer input (any signed or unsigned dtype, or lists of ints) is
     checked in its own dtype before it is cast, so no code wraps; other
     input is checked as floats, then cast once.  Either way a bad cell
@@ -151,11 +152,6 @@ class Dataset:
             raise KeyError(f"unknown variable {name!r}")
         return self.rows[:, self._index[name]]
 
-    def codes(self, name):
-        """Integer codes of a discrete column: a contiguous int64 view of
-        the stored rows, not a copy."""
-        return self.column(name)
-
     def cardinality(self, name):
         """1 + largest observed code of a discrete column."""
         return int(self.column(name).max()) + 1
@@ -166,13 +162,10 @@ class Dataset:
         names; empty lines are skipped, and a ``#`` is no comment but a bad
         cell.  Every ValueError names ``path``.
 
-        A discrete file is read by the first of three steps that applies
-        (``_discrete_rows``): lines that all share the byte layout of the
-        first, digit cells only, are read without parsing; lines whose
-        layout breaks on a ``.`` or a byte above ``9`` (a letter, ``_``) go
-        straight to the double reader; other lines are parsed as int64,
-        and a cell that is no plain integer sends the whole file through
-        the double reader.  So every value reads as the same code whichever
+        A discrete file whose lines all share the byte layout of the first,
+        digit cells only, is read without parsing (``_discrete_rows``); any
+        other file is read by the double reader, and ``Dataset`` checks and
+        casts its values.  So every value reads as the same code whichever
         step reads it, and every message is the same."""
         try:
             with open(path, "r", encoding="utf-8-sig") as fh:
@@ -218,17 +211,10 @@ class Dataset:
 
 
 def _discrete_rows(fh, width):
-    """The data lines of ``fh`` as an int64 matrix, read by the first of
-    three steps that applies, or None when only the double reader can read
-    them; ``fh`` is left where it was.  Every step gives the codes of the
-    double reader's values, so -0 reads as 0.
-
-    1. A body whose lines share the byte layout of the first, ``width``
-       digit cells, is read without parsing (``_layout``).
-    2. Else, when the block of lines that breaks the layout holds a ``.``
-       or an ASCII byte above ``9``, which no plain integer cell holds, the
-       body is left to the double reader unparsed.
-    3. Any other body is parsed as int64 (``_integer_rows``)."""
+    """The data lines of ``fh`` as an int64 matrix when they all share the
+    byte layout of the first, ``width`` digit cells (``_layout``), else
+    None, for the double reader; ``fh`` is left where it was.  The codes are
+    those of the double reader's values."""
     start = fh.tell()
     layout, kept = None, []
     for text in iter(lambda: fh.read(_READ_CHARS), ""):
@@ -238,19 +224,10 @@ def _discrete_rows(fh, width):
         codes = None if layout is None else _layout_codes(text, layout)
         if codes is None:
             fh.seek(start)
-            return _integer_rows(fh) if _may_be_integers(text) else None
+            return None
         kept.append(codes)
     fh.seek(start)
-    if not kept:
-        return _integer_rows(fh)
-    return _horner(np.concatenate(kept), layout[1])
-
-
-def _may_be_integers(text):
-    """False when ``text`` holds a ``.`` or an ASCII byte above ``9``."""
-    return "." not in text and not (
-        text.isascii()
-        and np.frombuffer(text.encode("ascii"), np.uint8).max() > ord("9"))
+    return _horner(np.concatenate(kept), layout[1]) if kept else None
 
 
 def _layout(text, width):
@@ -307,22 +284,6 @@ def _horner(codes, ends):
         data *= 10
         data += digits[kept]
     return data.T
-
-
-def _integer_rows(fh):
-    """The data lines of ``fh`` parsed as an int64 matrix, or None with
-    ``fh`` back where it was when a cell is no plain integer.  A float cell
-    is refused, not truncated: numpy versions that cast ``1.5`` to 1 warn
-    that they do, and the warning is taken as a refusal."""
-    start = fh.tell()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2,
-                              comments=None)
-    except (ValueError, DeprecationWarning):
-        fh.seek(start)
-        return None
 
 
 def _reads(lines, usecols=None):
@@ -480,14 +441,14 @@ def _joint_counts(data, x, y, w, laplace, exposure_levels, outcome_levels):
     Each ``w`` column takes one linear pass while the codes are dense; a
     sort ranks only sparse ones first.  Extra memory is O(rows)."""
     w = _checked_inputs(data, DISCRETE, x, y, w, laplace)
-    xcol, ycol = data.codes(x), data.codes(y)
+    xcol, ycol = data.column(x), data.column(y)
     kx = exposure_levels or data.cardinality(x)
     ky = outcome_levels or data.cardinality(y)
     if xcol.max() >= kx or ycol.max() >= ky:
         raise ValueError("observed codes exceed the requested level grid")
     stratum, strata = np.zeros(len(data), dtype=np.int64), 1
     for v in w:
-        code = data.codes(v)
+        code = data.column(v)
         top = int(code.max()) + 1
         if strata * top > _KEYS_PER_ROW * len(data):
             code, top = _dense_rank(code, top)  # keeps keys below rows**2

@@ -181,11 +181,11 @@ def joint_counts_by_sorting(data, x, y, w):
     strata come out in lexicographic order of the ``w`` codes.  Returns
     each row's stratum and the rows counted per (stratum, x, y) on the
     observed level grid."""
-    xcol, ycol = data.codes(x), data.codes(y)
+    xcol, ycol = data.column(x), data.column(y)
     kx, ky = int(xcol.max()) + 1, int(ycol.max()) + 1
     stratum = np.zeros(len(data), dtype=np.int64)
     for v in w:
-        levels, code = np.unique(data.codes(v), return_inverse=True)
+        levels, code = np.unique(data.column(v), return_inverse=True)
         stratum = np.unique(stratum * len(levels) + code,
                             return_inverse=True)[1]
     counts = np.bincount((stratum * kx + xcol) * ky + ycol,

@@ -368,7 +368,7 @@ def test_null_effect_estimate_equals_outcome_marginal(shared, condition):
     report = causal_change(verdict, data1, data2, "X", "Y")
     for table, data in ((report.population1_value, data1),
                         (report.population2_value, data2)):
-        marginal = np.bincount(data.codes("Y"), minlength=3) / len(data)
+        marginal = np.bincount(data.column("Y"), minlength=3) / len(data)
         for row in table.probabilities:
             assert np.array_equal(row, marginal)
     # A longer ancestral route to the same verdict gets the same treatment

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import diffgraph
-from diffgraph import Dataset
+from diffgraph import Dataset, cli
 from diffgraph.cli import main
 from helpers import DG_1H, DG_1M
 
@@ -51,6 +51,32 @@ def test_check_total_json(graph_1h, capsys):
         "formula": "P(Y|do(X)) = sum_{W1} P(Y|X,W1) P(W1)",
         "adjustment_set": ["W1"],
     }
+
+
+def test_main_reuses_one_parser_across_calls(graph_1h, capsys, monkeypatch):
+    """Calls in one process, a usage error among them, share one parser,
+    and no flag of one call leaks into the next."""
+    builds, build_parser = [], cli.build_parser
+
+    def build():
+        builds.append(1)
+        return build_parser()
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    query = ["--graph", graph_1h, "--exposure", "X", "--outcome", "Y"]
+    total = ["check-total", *query, "--shared-order", "--json"]
+    assert main(total) == 0
+    first = capsys.readouterr().out
+    assert json.loads(first)["adjustment_set"] == ["W1"]
+    with pytest.raises(SystemExit) as exc_info:
+        main(["check-total", "--json"])
+    assert exc_info.value.code == 1
+    assert "required" in capsys.readouterr().err
+    assert main(["check-direct", *query, "--shared-order"]) == 2
+    assert "not identifiable" in capsys.readouterr().out
+    assert main(total) == 0
+    assert capsys.readouterr().out == first
+    assert builds == [1]
 
 
 def test_check_direct_not_identifiable_exits_2(graph_1h, capsys):
@@ -184,7 +210,7 @@ def test_estimate_total_null_effect_uses_marginal(graph_1h, tmp_path,
     assert doc["verdict"]["condition"] == "A.1"
     probs = np.asarray(doc["estimate"]["probabilities"])
     data = Dataset.from_csv(csv, "discrete")
-    marginal = np.bincount(data.codes("X"), minlength=2) / len(data)
+    marginal = np.bincount(data.column("X"), minlength=2) / len(data)
     assert np.array_equal(probs[0], marginal)
     assert np.array_equal(probs[1], marginal)
 
