@@ -52,9 +52,19 @@ _FAULT_BLOCK = 1024
 # file's size, and a file that leaves the layout early costs one block.
 _READ_CHARS = 1 << 15
 
-# Rows formatted per write: the text and the boxed floats of one block stay
-# small whatever the number of rows.
+# Rows formatted per write: the text and the arrays of one block stay small
+# whatever the number of rows.
 _WRITE_BLOCK = 4096
+
+# For ``_g17_text``: 5**p for every scale 10**p it multiplies by, and the
+# text of 0000 to 9999, four ASCII digits packed in one uint32 each.
+_POW5 = 5 ** np.arange(28, dtype=np.uint64)
+_QUADS = np.ascontiguousarray((np.indices((10,) * 4, np.uint8) + ord("0"))
+                              .reshape(4, -1).T).view(np.uint32).ravel()
+
+# Bytes of one cell's field: the longest ``%.17g`` text, 24 characters as in
+# "-2.2250738585072014e-308", then its comma or newline.
+_FIELD = 25
 
 
 class PositivityError(ValueError):
@@ -98,8 +108,15 @@ class Dataset:
 
     def __init__(self, variable_names, rows, kind):
         names = tuple(variable_names)
+        if not names:
+            raise ValueError("need at least one variable")
         for name in names:
             _check_label(name)
+            # from_csv refuses a quoted name and drops a byte order mark
+            if '"' in name or name.startswith("\ufeff"):
+                raise ValueError(
+                    f"variable name {name!r} contains '\"' or starts with "
+                    "U+FEFF, which a CSV header cannot hold")
         if len(set(names)) != len(names):
             dup = next(v for i, v in enumerate(names) if v in names[:i])
             raise ValueError(f"duplicate variable name {dup!r}")
@@ -200,14 +217,135 @@ class Dataset:
         """Write a header row of the variable names, then one row per unit:
         ``%.17g`` cells, which ``from_csv`` reads back bit for bit, or ``%d``
         cells for discrete data.  Rows are formatted and written in blocks
-        of ``_WRITE_BLOCK``."""
-        cell = "%d" if self.kind == DISCRETE else "%.17g"
-        row = ",".join([cell] * self.rows.shape[1]) + "\n"
+        of ``_WRITE_BLOCK`` (4,096).  Continuous cells are formatted in
+        numpy, byte for byte as ``"%.17g" %`` would (``_g17_text``); only
+        cells outside its exact range, zero and magnitudes below 1e-11 or
+        from 1e17, go through ``%`` one at a time."""
+        row = ",".join(["%d"] * self.rows.shape[1]) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(self.variable_names) + "\n")
             for start in range(0, len(self), _WRITE_BLOCK):
                 block = self.rows[start:start + _WRITE_BLOCK]
-                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+                fh.write(_g17_text(block) if self.kind == CONTINUOUS else
+                         (row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _scaled(mant, e, k):
+    """For each |x| = mant * 2**(e - 53), the floor of |x| * 10**(16 - k)
+    and whether round-half-even takes it up by one, computed exactly as
+    mant * 5**p * 2**(e - 53 + p), p = 16 - k in 0..27: the product is
+    128 bits in two uint64 halves built from 32-bit limbs, and it is
+    shifted right by at least one bit, so the remainder is compared with
+    a half that is a whole number."""
+    p = 16 - k
+    shift = 53 - e - p
+    mant = mant << np.maximum(1 - shift, 0).astype(np.uint64)
+    shift = np.maximum(shift, 1).astype(np.uint64)
+    low = np.uint64(0xFFFFFFFF)
+    m0, m1 = mant & low, mant >> 32
+    five = _POW5[p]
+    f0, f1 = five & low, five >> 32
+    p00, p01, p10 = m0 * f0, m0 * f1, m1 * f0
+    mid = (p00 >> 32) + (p01 & low) + (p10 & low)
+    lo = (mid << 32) | (p00 & low)
+    hi = m1 * f1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    floor = ((hi << 1) << (63 - shift)) | (lo >> shift)
+    rest = lo & ((1 << shift) - 1)
+    return floor, rest + (floor & 1) > (1 << (shift - 1))
+
+
+def _g17_text(block):
+    """The rows of the float matrix ``block`` as CSV text of ``%.17g``
+    cells, the same bytes as ``"%.17g" %`` gives each cell.
+
+    A cell of magnitude in (1e-11, 1e17) has 17 significant digits
+    d = round-half-even(|x| * 10**(16 - k)), k its decimal exponent, which
+    ``_scaled`` computes exactly; log10 guesses k, and a floor outside
+    [10**16, 10**17) moves the guess by one.  Cells are sorted by k, so the
+    cells of one notation and exponent fill the same columns of their
+    NUL-padded fields by slicing; trailing fraction zeros, and a ``.``
+    left bare, become NULs.  Any other cell is formatted by ``%``.  The
+    text is the fields in cell order, NULs dropped."""
+    rows, cols = block.shape
+    x = block.ravel()
+    size = np.abs(x)
+    exact = (size > 1e-11) & (size < 1e17)
+    fields = np.zeros((x.size, _FIELD), np.uint8)
+    slow = np.flatnonzero(~exact)
+    fields[slow, :-1] = np.array(["%.17g" % v for v in x[slow].tolist()],
+                                 "S24").view(np.uint8).reshape(-1, 24)
+    where = np.flatnonzero(exact)
+    x, size = x[where], size[where]
+    frac, e = np.frexp(size)
+    mant = (frac * 2.0 ** 53).astype(np.uint64)
+    e = e.astype(np.int64)
+    # k is in -11..16, where 5**(16 - k) fits a uint64, though log10 may
+    # guess one past either end
+    k = np.clip(np.floor(np.log10(size)), -11, 16).astype(np.int64)
+    floor, up = _scaled(mant, e, k)
+    off = np.flatnonzero((floor < 10 ** 16) | (floor >= 10 ** 17))
+    k[off] += np.where(floor[off] < 10 ** 16, -1, 1)
+    floor[off], up[off] = _scaled(mant[off], e[off], k[off])
+    # no double in the exact range lies within half a unit of the 17th
+    # digit below a power of ten, so d never rounds up to 10**17
+    # (tests/writer_census.py walks every power of ten)
+    d = floor + up
+    order = np.argsort(k.astype(np.int8), kind="stable")
+    k, d = k[order], d[order]
+
+    # the 17 digits as text: one digit, then four groups of four
+    top = d // 10 ** 8
+    low8 = (d - top * 10 ** 8).astype(np.uint32)
+    top = top.astype(np.uint32)
+    lead = top // 10 ** 8
+    high8 = top - lead * 10 ** 8
+    quads = np.empty((d.size, 5), np.uint32)
+    quads[:, 0] = _QUADS[lead]
+    quads[:, 1] = _QUADS[high8 // 10000]
+    quads[:, 2] = _QUADS[high8 % 10000]
+    quads[:, 3] = _QUADS[low8 // 10000]
+    quads[:, 4] = _QUADS[low8 % 10000]
+    digits = quads.view(np.uint8)[:, 3:]
+
+    # the digits of d from column ``first`` on follow the point: k + 1
+    # digits in for ddd.ddd, one in for d.ddde-XX; 0.000ddd has all 17
+    # after its point, but the first is never 0, so it is never stripped
+    first = np.maximum(k + 1, 1)
+    dot = np.where(k == 16, 0, ord(".")).astype(np.uint8)
+    zero = np.flatnonzero(digits[:, 16] == ord("0"))
+    tail = digits[zero]
+    strip = np.logical_and.accumulate(tail[:, ::-1] == ord("0"),
+                                      axis=1)[:, ::-1]
+    strip &= np.arange(17) >= first[zero, None]
+    tail[strip] = 0
+    digits[zero] = tail
+    dot[zero[strip[np.arange(zero.size), np.minimum(first[zero], 16)]]] = 0
+
+    out = np.zeros((d.size, _FIELD), np.uint8)
+    out[:, 0] = np.signbit(x[order]) * np.uint8(ord("-"))
+    edges = np.searchsorted(k, np.arange(-11, 18))
+    for exp, a, b in zip(range(-11, 17), edges[:-1], edges[1:]):
+        if a == b:
+            continue
+        o, ds = out[a:b], digits[a:b]
+        if exp >= 0:  # fixed: ddd.ddd
+            o[:, 1:exp + 2] = ds[:, :exp + 1]
+            o[:, exp + 2] = dot[a:b]
+            o[:, exp + 3:19] = ds[:, exp + 1:]
+        elif exp >= -4:  # fixed: 0.000ddd
+            o[:, 1:2 - exp] = np.frombuffer(b"0." + b"0" * (-1 - exp),
+                                            np.uint8)
+            o[:, 2 - exp:19 - exp] = ds
+        else:  # exponent: d.ddde-XX
+            o[:, 1] = ds[:, 0]
+            o[:, 2] = dot[a:b]
+            o[:, 3:19] = ds[:, 1:]
+            o[:, 19:23] = np.frombuffer(b"e-%02d" % -exp, np.uint8)
+    fields.view(f"V{_FIELD}")[where[order]] = out.view(f"V{_FIELD}")
+    grid = fields.reshape(rows, cols, _FIELD)
+    grid[:, :, -1] = ord(",")
+    grid[:, -1, -1] = ord("\n")
+    return fields[fields != 0].tobytes().decode("ascii")
 
 
 def _discrete_rows(fh, width):

@@ -122,6 +122,25 @@ def test_an_empty_dataset_is_rejected_on_construction():
             Dataset(["X"], [[]], kind)
 
 
+def test_a_dataset_holds_only_what_a_csv_file_reads_back(tmp_path):
+    """from_csv refuses a header name with a '"' and drops a leading
+    U+FEFF as a byte order mark, and a file of no variables has no header,
+    so no Dataset holds such names or no variables."""
+    for kind in (DISCRETE, CONTINUOUS):
+        for names, bad in ((['a"b', "c"], 'a"b'), (["\ufeffX"], "\ufeffX"),
+                           (["X", "\ufeffY"], "\ufeffY")):
+            assert _message(Dataset, names, np.zeros((3, len(names))),
+                            kind) == (
+                f"variable name {bad!r} contains '\"' or starts with U+FEFF, "
+                "which a CSV header cannot hold")
+        with pytest.raises(ValueError, match="^need at least one variable$"):
+            Dataset([], np.zeros((3, 0)), kind)
+        # a U+FEFF later in a name is no byte order mark
+        path = tmp_path / "d.csv"
+        Dataset(["X\ufeff", "Y"], np.ones((2, 2)), kind).to_csv(path)
+        assert Dataset.from_csv(path, kind).variable_names == ("X\ufeff", "Y")
+
+
 def test_dataset_accessors():
     data = _discrete(None, x=[0, 1, 1], y=[2, 0, 1])
     assert len(data) == 3
@@ -157,17 +176,42 @@ def _savetxt_bytes(names, rows, kind):
     return out.getvalue().encode("utf-8")
 
 
-# where %.17g is subnormal, tiny, switches notation, exceeds 2**53 or is -0
-_EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e-04, 1e16,
-                1e17, -1.5e300, 0.1]
+def _around(values):
+    """Each of ``values`` between its two neighbouring doubles."""
+    values = np.asarray(values, dtype=float)
+    return np.column_stack([np.nextafter(values, -np.inf), values,
+                            np.nextafter(values, np.inf)]).ravel()
+
+
+# where %.17g is subnormal, tiny, switches notation, exceeds 2**53 or is -0;
+# then ties that round to even, and each power of ten about the exact range
+# of the numpy writer between its neighbours, where log10 may guess the
+# exponent one off; the ends of that range, 2**53, doubles just below 1e17
+# and the largest double
+_EDGE_FLOATS = np.concatenate([
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e-04, 1e16, 1e17,
+     -1.5e300, 0.1],
+    [s * (1e15 + j / 8) for j in range(1, 8) for s in (1, -1)],
+    _around([float(f"1e{k}") for k in range(-12, 18)]),
+    _around([1e-11, 2.0 ** 53]),
+    [-(1e17 - 16), 1e17 - 32, np.finfo(float).max]])
+
+# rows of the case of random bit patterns, about 200,000 cells
+_BIT_ROWS = 16 * _WRITE_BLOCK + 11
 
 
 @pytest.mark.parametrize("n", [1, _WRITE_BLOCK - 1, _WRITE_BLOCK,
-                               _WRITE_BLOCK + 1, 3 * _WRITE_BLOCK + 7])
+                               _WRITE_BLOCK + 1, 3 * _WRITE_BLOCK + 7,
+                               _BIT_ROWS])
 def test_to_csv_writes_the_bytes_of_savetxt(tmp_path, n):
     rng = np.random.default_rng(n)
-    floats = rng.standard_normal(3 * n) * 10.0 ** rng.integers(-300, 300,
-                                                                3 * n)
+    if n == _BIT_ROWS:
+        # every finite double alike, zero in place of inf and nan
+        floats = rng.integers(0, 2 ** 64, 3 * n, np.uint64).view(float)
+        floats[~np.isfinite(floats)] = 0.0
+    else:
+        floats = rng.standard_normal(3 * n) * 10.0 ** rng.integers(-300, 300,
+                                                                    3 * n)
     floats[:len(_EDGE_FLOATS)] = _EDGE_FLOATS[:3 * n]
     floats = floats.reshape(n, 3)
     codes = rng.integers(0, 2 ** 53, (n, 3)).astype(float)
