@@ -39,9 +39,12 @@ ROW_SUM_TOLERANCE = 1e-9
 # refused before it is allocated.
 _GRID_CELLS = 2 ** 24
 
-# Strata are ranked through a table of the keys present, a flag and a count
-# per key, while the keys span at most this many per row: 36 bytes a row,
-# about what np.unique's sort takes.  Wider spans are sorted.
+# The adjustment codes of a row are counted as one mixed-radix key.  Before
+# a column joins the key, the column and then the running key are ranked
+# when their range would pass this many keys per row, so every key stays
+# below 4 * rows**2.  A range this wide at most is ranked through a table of
+# the keys present, a flag and a count per key (36 bytes a row, about what
+# np.unique's sort takes); a wider one is sorted.
 _KEYS_PER_ROW = 4
 
 # Rows a rejected CSV file is read in while its first fault is sought.
@@ -559,14 +562,16 @@ def _checked_inputs(data, kind, x, y, w, laplace=None):
     return w
 
 
-def _dense_rank(keys, top):
+def _dense_rank(keys, top, present=None):
     """Each of the non-negative ``keys``, all below ``top``, ranked among the
-    distinct keys as np.unique's inverse does, and the number of them."""
-    if top > _KEYS_PER_ROW * len(keys):
-        levels, rank = np.unique(keys, return_inverse=True)
-        return rank, len(levels)
-    present = np.zeros(top, dtype=bool)
-    present[keys] = True
+    distinct keys as np.unique's inverse does, and the number of them.
+    ``present``, when given, flags the keys below ``top`` that occur."""
+    if present is None:
+        if top > _KEYS_PER_ROW * len(keys):
+            levels, rank = np.unique(keys, return_inverse=True)
+            return rank, len(levels)
+        present = np.zeros(top, dtype=bool)
+        present[keys] = True
     rank = np.cumsum(present, dtype=np.int64)
     rank -= 1
     return rank[keys], int(rank[-1]) + 1
@@ -576,30 +581,52 @@ def _joint_counts(data, x, y, w, laplace, exposure_levels, outcome_levels):
     """Checks for the discrete estimators, then the rows counted per
     (stratum, x, y), strata being the distinct ``w`` codes in lexicographic
     order.  Returns ``w`` as a tuple, each row's stratum and the counts.
-    Each ``w`` column takes one linear pass while the codes are dense; a
-    sort ranks only sparse ones first.  Extra memory is O(rows)."""
+
+    Each row's ``w`` codes form one mixed-radix key, its first column most
+    significant, so keys sort as the codes do; one bincount counts the keys
+    with x and y, and the keys that hold no rows are dropped.  Keys are
+    ranked (:func:`_dense_rank`) only where memory needs it: a column whose
+    codes span more than _KEYS_PER_ROW keys a row, the running key before a
+    column would take it past that span, and the final key when it spans
+    more than half the rows or its grid would pass 2**24 cells.  The grid
+    and the copy that drops its empty strata then hold at most rows x kx x
+    ky counts between them, and the other extra memory is O(rows)."""
     w = _checked_inputs(data, DISCRETE, x, y, w, laplace)
     xcol, ycol = data.column(x), data.column(y)
     kx = exposure_levels or data.cardinality(x)
     ky = outcome_levels or data.cardinality(y)
     if xcol.max() >= kx or ycol.max() >= ky:
         raise ValueError("observed codes exceed the requested level grid")
-    stratum, strata = np.zeros(len(data), dtype=np.int64), 1
+    rows = len(data)
+    key, top = np.zeros(rows, dtype=np.int64), 1
     for v in w:
         code = data.column(v)
-        top = int(code.max()) + 1
-        if strata * top > _KEYS_PER_ROW * len(data):
-            code, top = _dense_rank(code, top)  # keeps keys below rows**2
-        stratum, strata = _dense_rank(stratum * top + code, strata * top)
-    if strata * kx * ky > _GRID_CELLS:
+        span = int(code.max()) + 1
+        if span > _KEYS_PER_ROW * rows:
+            code, span = _dense_rank(code, span)
+        if top * span > _KEYS_PER_ROW * rows:
+            key, top = _dense_rank(key, top)
+        key *= span
+        key += code
+        top *= span
+    if 2 * top > rows or top * kx * ky > _GRID_CELLS:
+        key, top = _dense_rank(key, top)
+    if top * kx * ky > _GRID_CELLS:
         v, k = max((x, kx), (y, ky), key=lambda level: level[1])
         raise ValueError(
-            f"counting needs {strata} strata x {kx} x {ky} levels, more than "
+            f"counting needs {top} strata x {kx} x {ky} levels, more than "
             f"2**24 cells: column {v!r} has codes up to {k - 1} (relabel "
             "sparse codes as 0, 1, 2, ...)")
-    counts = np.bincount((stratum * kx + xcol) * ky + ycol,
-                         minlength=strata * kx * ky)
-    return w, stratum, counts.reshape(-1, kx, ky)
+    cell = key * kx
+    cell += xcol
+    cell *= ky
+    cell += ycol
+    counts = np.bincount(cell, minlength=top * kx * ky).reshape(top, kx, ky)
+    present = counts.any(axis=(1, 2))
+    if not present.all():
+        counts = counts[present]
+        key = _dense_rank(key, top, present)[0]
+    return w, key, counts
 
 
 def adjustment_total(data, x, y, w, laplace=None,
@@ -607,9 +634,10 @@ def adjustment_total(data, x, y, w, laplace=None,
     """Plug-in adjustment estimate of P(y|do(x)).
 
     Computes sum over strata of the adjustment set ``w`` of
-    P-hat(y|x,w) P-hat(w) from one count of the rows per (stratum, x, y).
-    Numbering the strata takes one linear pass per column of ``w`` whose
-    codes are dense, a sort only for sparse ones, and O(rows) memory.
+    P-hat(y|x,w) P-hat(w) from one count of the rows per (stratum, x, y):
+    each row's ``w`` codes form one mixed-radix key, ranked only when its
+    range outgrows the rows (sparse codes are sorted), and the extra memory
+    beyond rows x exposure x outcome counts is O(rows).
     Strata never observed contribute nothing; an observed stratum with no
     data at some exposure value raises PositivityError naming the first
     such cell (strata in lexicographic order of their codes), unless

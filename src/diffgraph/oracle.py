@@ -81,8 +81,11 @@ effect), with a slot per DAG of the enumeration.  There are 80 such keys
 up to the cap, so the tables never evict and take at most 9.4 MB.  A
 query computes the families only of its compatible DAGs whose slots are
 still empty, in one array call.  A repeated query on a difference graph
-still in the memo computes no family and searches no slot, but a
-NotIdentifiable one builds its two witness DAGs again.
+still in the memo computes no family and looks up no compatible DAG's
+slot.  It still tests for a null effect on every call: a TOTAL query adds
+y -> x to each compatible DAG and searches the enumeration for the
+results (``_is_dag``), one searchsorted over every DAG on n vertices, and
+a NotIdentifiable one builds its two witness DAGs again.
 """
 
 from functools import lru_cache

@@ -722,6 +722,158 @@ def test_large_stratum_codes_give_the_relabelled_table():
         assert np.array_equal(got.probabilities, expected.probabilities)
 
 
+def _ranks(monkeypatch):
+    """The ``top`` of every _dense_rank call, recorded as they are made."""
+    tops, rank = [], estimate._dense_rank
+
+    def recorded(keys, top, *present):
+        tops.append(top)
+        return rank(keys, top, *present)
+
+    monkeypatch.setattr(estimate, "_dense_rank", recorded)
+    return tops
+
+
+def _counted_as_by_sorting(data, w):
+    _, stratum, counts = _joint_counts(data, "x", "y", w, None, None, None)
+    want_stratum, want_counts = joint_counts_by_sorting(data, "x", "y", w)
+    assert np.array_equal(stratum, want_stratum)
+    assert np.array_equal(counts, want_counts)
+
+
+def test_dense_codes_of_few_strata_are_counted_without_a_rank(monkeypatch):
+    rng = np.random.default_rng(3)
+    data = _discrete(None, **{v: rng.integers(0, 3, 200)
+                              for v in ("w1", "w2", "w3", "x", "y")})
+    tops = _ranks(monkeypatch)
+    _counted_as_by_sorting(data, ("w1", "w2", "w3"))
+    assert tops == []
+
+
+def test_a_sparse_column_is_ranked_before_it_joins_the_key(monkeypatch):
+    big = 2 ** 40
+    data = _discrete(None, w=[big, 5, 5, big, 7, 7, 5, big],
+                     x=[0, 1, 0, 1, 0, 1, 1, 0], y=[1, 0, 0, 1, 1, 0, 1, 0])
+    tops = _ranks(monkeypatch)
+    _counted_as_by_sorting(data, ("w",))
+    assert tops == [big + 1]
+
+
+def test_the_running_key_is_ranked_before_it_passes_the_bound(monkeypatch):
+    """Three columns of five codes on 10 rows: 5 * 5 keys stay within the
+    bound of 4 a row, 25 * 5 would not, so the nine (w1, w2) pairs present
+    are ranked first; their 9 * 5 keys then outnumber the rows."""
+    data = _discrete(None, w1=[0, 1, 2, 3, 4, 0, 1, 2, 3, 4],
+                     w2=[4, 3, 2, 1, 0, 0, 1, 2, 3, 4],
+                     w3=[0, 1, 2, 3, 4, 0, 1, 2, 3, 4],
+                     x=[0, 1] * 5, y=[0, 0, 1, 1, 2] * 2)
+    tops = _ranks(monkeypatch)
+    _counted_as_by_sorting(data, ("w1", "w2", "w3"))
+    assert tops == [25, 45]
+
+
+def test_a_final_key_space_wider_than_the_rows_is_ranked(monkeypatch):
+    data = _discrete(None, w1=[0, 4, 2, 4, 0, 1, 3, 0, 2, 4],
+                     w2=[4, 0, 0, 4, 4, 1, 3, 2, 2, 4],
+                     x=[0, 1] * 5, y=[1, 0, 0] * 3 + [1])
+    tops = _ranks(monkeypatch)
+    _counted_as_by_sorting(data, ("w1", "w2"))
+    assert tops == [25]
+
+
+def test_a_ranked_key_gives_the_sorted_table_and_positivity_cell(
+        monkeypatch):
+    """30 strata of codes 0..7, each on two rows, one with x = 0 and one
+    with x = 1: 8 * 8 keys stay within the bound of 4 a row, 64 * 8 would
+    not, so the 24 (w1, w2) pairs present are ranked before w3 joins them;
+    their 24 * 8 keys then outnumber the 60 rows."""
+    rng = np.random.default_rng(5)
+    strata = np.unique(rng.integers(0, 8, size=(30, 3)), axis=0)
+    order = rng.permutation(60)
+    codes = np.repeat(strata, 2, axis=0)[order]
+    x = np.tile([0, 1], 30)[order]
+    y = rng.integers(0, 3, 60)
+    w = ("w1", "w2", "w3")
+    data = _discrete(None, **dict(zip(w, codes.T)), x=x, y=y)
+    tops = _ranks(monkeypatch)
+    _counted_as_by_sorting(data, w)
+    assert tops == [64, 192]
+    _, counts = joint_counts_by_sorting(data, "x", "y", w)
+    m = counts.sum(axis=2, keepdims=True)
+    weight = counts.sum(axis=(1, 2)) / len(data)
+    expected = (weight[:, None, None] * (counts / m)).sum(axis=0)
+    table = adjustment_total(data, "x", "y", w)
+    assert np.array_equal(table.probabilities, expected)
+    # without its x = 1 row, the 17th stratum in sorted order is the first
+    # cell with no observations
+    keep = ~((codes == strata[16]).all(axis=1) & (x == 1))
+    holed = _discrete(None, **dict(zip(w, codes[keep].T)), x=x[keep],
+                      y=y[keep])
+    with pytest.raises(PositivityError) as exc_info:
+        adjustment_total(holed, "x", "y", w)
+    cell = dict(zip(w, strata[16].tolist()))
+    assert exc_info.value.stratum == cell
+    assert exc_info.value.exposure_value == 1
+    named = ", ".join(f"{v}={c}" for v, c in cell.items())
+    assert str(exc_info.value).startswith(
+        f"no observations for x=1 within stratum {named};")
+
+
+def test_a_key_grid_above_two_to_the_24_cells_is_ranked_below_it(
+        monkeypatch):
+    """200 keys x 512 x 256 levels would be 25.6M cells; the two strata
+    present take 2**18."""
+    n = 400
+    data = _discrete(None, w=[0, 199] * (n // 2),
+                     x=[511, 0, 1, 2] * (n // 4), y=[0, 255] * (n // 2))
+    tops = _ranks(monkeypatch)
+    _counted_as_by_sorting(data, ("w",))
+    assert tops == [200]
+
+
+def test_a_ranked_key_grid_still_above_two_to_the_24_cells_is_refused(
+        monkeypatch):
+    data = _discrete(None, w=[0, 5, 10, 15, 20, 0, 5, 10, 15, 20, 25, 0],
+                     x=[2047] + [0] * 11, y=[0] * 11 + [2047])
+    tops = _ranks(monkeypatch)
+    assert _message(adjustment_total, data, "x", "y", ("w",)) == (
+        "counting needs 6 strata x 2048 x 2048 levels, more than 2**24 "
+        "cells: column 'x' has codes up to 2047 (relabel sparse codes as 0, "
+        "1, 2, ...)")
+    assert tops == [26]
+
+
+def test_counting_allocates_no_more_than_rows_x_levels_cells():
+    """The old worst case: rows x kx x ky int64 counts, plus O(rows).
+    Each table holds 1,000 rows with x and y of 16 codes each.  4,000 keys,
+    the most a column holds unranked, and 40 x 25 keys of which half hold
+    no rows are ranked to the strata present; 20 x 25 such keys are counted
+    unranked and their empty strata dropped."""
+    rng = np.random.default_rng(9)
+    n, levels = 1000, 16
+
+    def codes(top, step=1):
+        """n codes below ``top``, multiples of ``step``, the first top - 1."""
+        column = rng.integers(0, top // step, n) * step
+        column[0] = top - 1
+        return column
+
+    xy = {"x": codes(levels), "y": codes(levels)}
+    cases = [(_discrete(None, w=codes(4000), **xy), ("w",))]
+    for top in (40, 20):
+        cases.append((_discrete(None, w1=codes(top, 2), w2=codes(25), **xy),
+                      ("w1", "w2")))
+    for data, w in cases:
+        tracemalloc.start()
+        try:
+            _joint_counts(data, "x", "y", w, None, None, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * levels * levels * 8 + 64 * n
+        _counted_as_by_sorting(data, w)
+
+
 def test_a_count_grid_above_two_to_the_24_cells_is_refused():
     """One code of 3e9 in the outcome would ask for 2 * (3e9 + 1) int64
     counts, 44.7 GiB; the estimators refuse before allocating."""
