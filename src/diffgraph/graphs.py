@@ -83,14 +83,19 @@ class _Digraph:
         self._index = index
         self._vertices = tuple(index)
         self._edges = frozenset(edges)
-        self._parents = {v: [] for v in index}
-        self._children = {v: [] for v in index}
+        heads = {v: [] for v in index}
         for tail, head in self._edges:
-            self._parents[head].append(tail)
-            self._children[tail].append(head)
-        for v in index:
-            self._parents[v].sort(key=self._index.__getitem__)
-            self._children[v].sort(key=self._index.__getitem__)
+            heads[tail].append(head)
+        # visiting tails, then heads, in vertex order lists each vertex's
+        # parents, then children, in vertex order with no sort
+        self._parents = parents = {v: [] for v in index}
+        for tail, tail_heads in heads.items():
+            for head in tail_heads:
+                parents[head].append(tail)
+        self._children = children = {v: [] for v in index}
+        for head, head_tails in parents.items():
+            for tail in head_tails:
+                children[tail].append(head)
 
     @property
     def vertices(self):

@@ -55,11 +55,16 @@ mask whose bit i*n + j holds the edge i -> j.  A query builds no
   the family kernel are one Warshall closure on stacked bitmask rows.
 * Within the cap a mask is acyclic iff it is in that sorted enumeration,
   which one ``searchsorted`` decides for all masks at once.  That lookup
-  answers every other acyclicity and reach question: G is compatible with
-  D when G xor D (G or D under a shared order) is acyclic, and a DAG has
-  a path from X to Y iff adding Y -> X closes a cycle.
-* The partners of a compatible DAG are a filter of the compatible masks,
-  taken straight from the definition above, in ascending mask order.
+  answers every other acyclicity and reach question: in the general
+  regime G is compatible with D when G xor D is acyclic, and a DAG has a
+  path from X to Y iff adding Y -> X closes a cycle.
+* Under a shared order G is compatible when the union of G and D is
+  acyclic, so the compatible DAGs are built from D instead of filtered:
+  every DAG that holds D, less each subset of D's edges.  Only the DAGs
+  built are looked up, not all 29,281 at the cap.
+* The partners of a compatible DAG G1 are built the same way, in
+  ascending mask order: G1 xor D plus each subset of the D-edges G1
+  holds, kept when acyclic, which every one is under a shared order.
 * d-separation of X and Y by W is decided on parent bitmasks, for every
   compatible DAG and every candidate W at once, through the
   moralised ancestral graph (Lauritzen et al. 1990): X and Y are separated
@@ -78,8 +83,10 @@ bounded memory: the DAG enumeration per n, the compatible masks of the
 last COMPATIBLE_MEMO_SIZE difference graphs with their slots in that
 enumeration, as int64 arrays, and one family table per (n, X, Y,
 effect), with a slot per DAG of the enumeration.  There are 80 such keys
-up to the cap, so the tables never evict and take at most 9.4 MB.  A
-query computes the families only of its compatible DAGs whose slots are
+up to the cap, so the tables never evict and take at most 9.4 MB.
+Filling the compatible memo for a general-regime D looks up every DAG on
+n vertices, and for a shared-order D only the DAGs it admits.  A query
+computes the families only of its compatible DAGs whose slots are
 still empty, in one array call.  A repeated query on a difference graph
 still in the memo computes no family and looks up no compatible DAG's
 slot.  It still tests for a null effect on every call: a TOTAL query adds
@@ -305,6 +312,17 @@ def _checked_setup(d, shared_order):
     return n, index, d_mask, masks, slots
 
 
+def _submasks(mask):
+    """Every submask of the int ``mask``, ascending, as an int64 array.
+    Each bit of ``mask``, taken from the lowest up, exceeds the sum of
+    those below it, so the submasks holding it follow all that do not."""
+    subs = np.zeros(1, dtype=np.int64)
+    for k in range(mask.bit_length()):
+        if mask >> k & 1:
+            subs = np.concatenate([subs, subs | 1 << k])
+    return subs
+
+
 @lru_cache(maxsize=COMPATIBLE_MEMO_SIZE)
 def _compatible_masks(n, d_mask, shared_order):
     """Masks of every DAG appearing in some compatible pair, ascending, and
@@ -313,14 +331,28 @@ def _compatible_masks(n, d_mask, shared_order):
 
     A DAG G has a compatible partner exactly when its minimal partner, the
     symmetric difference G xor D, is itself a DAG (adding optional shared
-    D-edges only ever adds cycles).  Under the shared-order assumption the
-    union G with D must be acyclic instead, since the union equals the edge
-    union of any pair containing G.
+    D-edges only ever adds cycles); that filter runs over every DAG on n
+    vertices, as no construction of the general regime's set is known.
+
+    Under the shared-order assumption G is compatible exactly when the
+    union H = G | D is a DAG, since that union is the edge union of any
+    pair containing G.  So the set is built from D: every DAG H holding D,
+    less every subset S of D's edges.  Each G is made once, from H = G | D
+    and S = D minus G.  Conversely H minus S is a DAG, as a subgraph of H,
+    and its union with D is H again, since S lies in D and D in H.  Each S
+    takes the same amount off every H, so the H minus S for one S form an
+    ascending run, and a stable sort (a merge of runs) orders them all.
     """
-    masks = _all_dag_masks(n)
-    combined = masks | d_mask if shared_order else masks ^ d_mask
-    slots = np.flatnonzero(_is_dag(n, combined))
-    compatible = np.stack([masks[slots], slots]).T
+    dags = _all_dag_masks(n)
+    if shared_order:
+        supers = dags[dags & d_mask == d_mask]
+        masks = (supers - _submasks(d_mask)[:, None]).ravel()
+        masks.sort(kind="stable")
+        slots = np.searchsorted(dags, masks)
+    else:
+        slots = np.flatnonzero(_is_dag(n, dags ^ d_mask))
+        masks = dags[slots]
+    compatible = np.stack([masks, slots]).T
     compatible.flags.writeable = False
     return compatible
 
@@ -349,21 +381,24 @@ def enumerate_compatible_dags(d, shared_order=False):
     return tuple(_dag_from_mask(d.vertices, mask) for mask in masks)
 
 
-def _partner_masks(masks, d_mask, g1_mask):
-    """Every partner G2 of the compatible DAG ``g1_mask``, ascending: the
-    compatible ``masks`` that agree with g1 off D and, with g1, hold every
-    D-edge.  A partner is compatible itself, so the filter misses none."""
-    return masks[((masks ^ g1_mask) & ~d_mask == 0)
-                 & ((masks | g1_mask) & d_mask == d_mask)]
+def _partner_masks(n, d_mask, g1_mask):
+    """Every partner G2 of the compatible DAG ``g1_mask``, ascending.  G2
+    agrees with g1 off D and, with g1, holds every D-edge, so it is
+    (g1 xor D) plus a subset T of the D-edges g1 holds; adding T's bits,
+    which g1 xor D lacks, keeps T's ascending order.  Every candidate that
+    is a DAG is a partner, and under a shared order every one is: its
+    union with g1 is g1 | D, which is acyclic."""
+    candidates = (g1_mask ^ d_mask) | _submasks(g1_mask & d_mask)
+    return candidates[_is_dag(n, candidates)]
 
 
 def draw_compatible_dags(d, shared_order, rng):
     """A compatible DAG pair for ``d`` within the cap: G1 uniform over the
     compatible DAGs, then G2 uniform over G1's partners in ascending mask
     order, by one ``rng.integers`` call each."""
-    _, _, d_mask, masks, _ = _checked_setup(d, shared_order)
+    n, _, d_mask, masks, _ = _checked_setup(d, shared_order)
     g1_mask = int(masks[rng.integers(len(masks))])
-    partners = _partner_masks(masks, d_mask, g1_mask)
+    partners = _partner_masks(n, d_mask, g1_mask)
     g2_mask = int(partners[rng.integers(len(partners))])
     return tuple(_dag_from_mask(d.vertices, m) for m in (g1_mask, g2_mask))
 

@@ -21,13 +21,18 @@ common family, and builds every NotIdentifiable verdict with its witness,
 on these facts; the oracle module docstring proves them under a shared
 order and cites this census for the general regime.
 
+Under a shared order the oracle builds its compatible DAGs from D's
+supergraphs rather than filtering every DAG; for each shared-order D the
+census also checks that set against the definition's own filter.
+
 Run from the repository root::
 
     PYTHONPATH=src python3 tests/census.py
 
 It prints one row per n and regime and exits 1 if any query breaks a
-fact, naming the first ten that do.  The file is not a pytest module; ``check`` also
-serves ``tests/test_oracle.py`` on labelled graphs.
+fact or any built set differs from the filter, naming the first ten
+breaches.  The file is not a pytest module; ``check`` also serves
+``tests/test_oracle.py`` on labelled graphs.
 """
 
 import itertools
@@ -41,6 +46,7 @@ from diffgraph.oracle import (
     VERTEX_CAP,
     _admissible_families,
     _all_dag_masks,
+    _compatible_masks,
     _edges_of,
     _is_dag,
 )
@@ -97,12 +103,15 @@ def _queries(n):
 
 def check(n, d_masks, shared_order):
     """Check the three facts on every query over the difference graphs
-    ``d_masks`` (acyclic ones when ``shared_order``).
+    ``d_masks`` (acyclic ones when ``shared_order``), and under a shared
+    order that the oracle's compatible set, built from D, is the filter
+    of the definition here (G | D acyclic), masks and slots.
 
     Returns (queries, non-null queries, non-null queries with one common
-    set, non-null queries with a disjoint pair, breaches); a breach is
-    (D's edges as index pairs, x, y, effect, the fact it breaks), over
-    every query, null ones included."""
+    set, non-null queries with a disjoint pair, breaches); a breach is a
+    line naming D's edges as index pairs and, for a query, x, y, the
+    effect and the fact it breaks, over every query, null ones
+    included."""
     dags = _all_dag_masks(n)
     keys, families, live = _queries(n)
     rows = np.arange(len(keys))
@@ -110,6 +119,11 @@ def check(n, d_masks, shared_order):
     breaches = []
     for d in d_masks.tolist():
         compatible = _is_dag(n, dags | d if shared_order else dags ^ d)
+        if shared_order and not np.array_equal(
+                _compatible_masks.__wrapped__(n, d, True),
+                np.stack([dags[compatible], np.flatnonzero(compatible)]).T):
+            breaches.append(f"D = {_edges_of(n, d)}: the compatible set "
+                            "built from D is not the filter")
         f = families[:, compatible]
         active = live[:, compatible].any(axis=1)
         common = np.bitwise_and.reduce(f, axis=1)
@@ -132,7 +146,8 @@ def check(n, d_masks, shared_order):
                    (active & paired).sum()]
         for fact, holds in facts.items():
             for k in np.flatnonzero(~holds).tolist():
-                breaches.append((_edges_of(n, d),) + keys[k] + (fact,))
+                breaches.append("D = %s, x = %d, y = %d, %s effect: not %s"
+                                % ((_edges_of(n, d),) + keys[k] + (fact,)))
     queries = len(d_masks) * len(keys)
     return (queries, *counts.tolist(), breaches)
 
@@ -159,7 +174,7 @@ def main():
             print(_row(n, regime, row))
         print(_row(n, "both", both))
     for breach in breaches[:10]:
-        print("breach: D = %s, x = %d, y = %d, %s effect: not %s" % breach)
+        print("breach:", breach)
     return 1 if breaches else 0
 
 

@@ -395,6 +395,36 @@ def test_all_dag_masks_lists_every_dag_once_in_ascending_order():
         assert _digraph_of(6, mask).is_acyclic()
 
 
+def test_shared_order_set_built_from_d_is_the_filter_past_the_cap(
+        monkeypatch):
+    """Under a shared order the compatible set is built from D's
+    supergraphs; it equals the definition's filter (G | D acyclic), masks
+    and slots, on two seeded 6-vertex D.  ``tests/census.py`` checks every
+    D up to the cap.  A cyclic D has no supergraph DAG, so the set is
+    empty and a query raises the regime's ValueError."""
+    dags = oracle._all_dag_masks.__wrapped__(6)
+    # the 6-vertex enumeration stays out of the memo
+    monkeypatch.setattr(oracle, "_all_dag_masks", lambda n: dags)
+    picks = random.Random(26)
+    for edges in (3, 5):
+        d = 0
+        while d.bit_count() != edges:
+            d = int(dags[picks.randrange(len(dags))])
+        expected = oracle._is_dag(6, dags | d)
+        built = oracle._compatible_masks.__wrapped__(6, d, True)
+        assert not built.flags.writeable
+        assert built[:, 0].tolist() == dags[expected].tolist()
+        assert built[:, 1].tolist() == np.flatnonzero(expected).tolist()
+    cycle = oracle._mask_of(6, [(0, 1), (1, 2), (2, 0)])
+    assert oracle._compatible_masks.__wrapped__(6, cycle, True).shape \
+        == (0, 2)
+    monkeypatch.undo()
+    five = DifferenceGraph(edges=[("A", "B"), ("B", "C"), ("C", "A"),
+                                  ("D", "E")])
+    with pytest.raises(ValueError, match="cyclic"):
+        enumerate_compatible_dags(five, shared_order=True)
+
+
 def _every_digraph_mask(n):
     pairs = list(itertools.permutations(range(n), 2))
     return [oracle._mask_of(n, itertools.compress(pairs, picks))
