@@ -9,10 +9,9 @@ implements those closed-form decisions, a brute-force enumeration oracle
 for small graphs, the corresponding estimators, and a simulator for
 generating compatible model pairs.
 
-``import diffgraph`` loads only the pure-Python closed form: ``graphs``,
-``identify`` and the ``figures`` gallery.  The numpy-backed ``estimate``,
-``oracle`` and ``simulate`` load on first use, through the ``_LAZY`` table
-of their public names and the submodule names themselves.
+``import diffgraph`` loads only the pure-Python ``graphs``, ``identify``
+and ``figures``.  The numpy-backed modules load on first use of their
+own name or of a public name that ``_LAZY`` maps to them.
 """
 
 import importlib
@@ -45,12 +44,10 @@ from .identify import (
 # imported when one of its names is first read (PEP 562 ``__getattr__``
 # below), and the name is then bound here.
 _LAZY = {
+    **dict.fromkeys(("CONTINUOUS", "DISCRETE", "Dataset"), "dataset"),
     **dict.fromkeys((
-        "CONTINUOUS",
-        "DISCRETE",
         "CausalChangeReport",
         "ChangeTable",
-        "Dataset",
         "InterventionalTable",
         "PositivityError",
         "SingularDesignError",

@@ -14,9 +14,9 @@ import json
 import os
 import sys
 
+from .dataset import Dataset
 from .estimate import (
     EFFECT_KIND,
-    Dataset,
     causal_change,
     estimate_effect,
     format_change_report,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import CONTINUOUS, Dataset
+from .dataset import CONTINUOUS, Dataset
 from .graphs import CausalDag, DifferenceGraph, check_shared_order
 from .oracle import VERTEX_CAP, draw_compatible_dags
 

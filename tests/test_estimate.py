@@ -1,4 +1,5 @@
-"""Plug-in adjustment, regression, and two-population change estimation."""
+"""Plug-in adjustment, regression, and two-population change estimation,
+and the Dataset they read with its CSV reader and writer."""
 
 import io
 import tracemalloc
@@ -27,8 +28,9 @@ from diffgraph import (
     partial_regression_coefficient,
     EffectQuery,
 )
-from diffgraph import estimate
-from diffgraph.estimate import _WRITE_BLOCK, _first_fault, _joint_counts
+from diffgraph import dataset, estimate
+from diffgraph.dataset import _WRITE_BLOCK, _first_fault
+from diffgraph.estimate import _joint_counts
 from helpers import DG_1H, DG_1M, joint_counts_by_sorting
 
 
@@ -332,7 +334,7 @@ def _int64_only(reader):
 # stand-ins for _discrete_rows that force each reader path of from_csv: the
 # fixed layout first, the double reader
 _DISCRETE_READERS = [
-    _int64_only(estimate._discrete_rows),
+    _int64_only(dataset._discrete_rows),
     lambda fh, width: None,
 ]
 
@@ -381,7 +383,7 @@ def _assert_reads_as_doubles(path):
             expected = f"{path}: {expected}"
     with pytest.MonkeyPatch.context() as patch:
         for reader in _DISCRETE_READERS:
-            patch.setattr(estimate, "_discrete_rows", reader)
+            patch.setattr(dataset, "_discrete_rows", reader)
             _assert_same_codes(
                 _rows_or_message(Dataset.from_csv, path, DISCRETE), expected)
     return None if isinstance(expected, str) else expected
@@ -451,8 +453,6 @@ def test_a_fixed_layout_file_is_read_without_the_numpy_reader(tmp_path,
     def refuse(*args, **kwargs):
         raise AssertionError("np.loadtxt called on a fixed-layout file")
     monkeypatch.setattr(np, "loadtxt", refuse)
-    # several blocks, the last one short
-    monkeypatch.setattr(estimate, "_READ_CHARS", 10_000)
     for cells, newline, codes in (("%d,%d,%d", "\n", single),
                                   ("%d,%d,%03d", "\n", padded),
                                   ("%02d,%d,%03d", "\r\n", padded)):
@@ -506,23 +506,21 @@ def _fixed_layout_files(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_fixed_layout_files(), chars=st.sampled_from([1, 5, 64, 1 << 15]))
-@example(case=("X,Y\n1,2\n1.2\n", 2, "separator"), chars=1 << 15)
-@example(case=("X,Y\n1,2\n11,2\n", 2, "longer row"), chars=1)
+@given(case=_fixed_layout_files())
+@example(case=("X,Y\n1,2\n1.2\n", 2, "separator"))
+@example(case=("X,Y\n1,2\n11,2\n", 2, "longer row"))
 def test_fixed_layout_files_and_near_misses_read_as_doubles(
-        tmp_path_factory, case, chars):
-    """Each file reads as the double reader reads it, its body taken in
-    blocks of about ``chars`` characters."""
+        tmp_path_factory, case):
+    """Each file reads as the double reader reads it."""
     text, width, miss = case
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_text(text, newline="")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(estimate, "_READ_CHARS", chars)
-        _assert_reads_as_doubles(path)
-        if miss is None:
-            # no numpy reader runs unless a cell is too long for the layout
-            longest = max(len(cell) for line in text.splitlines()[1:]
-                          for cell in line.split(","))
+    _assert_reads_as_doubles(path)
+    if miss is None:
+        # no numpy reader runs unless a cell is too long for the layout
+        longest = max(len(cell) for line in text.splitlines()[1:]
+                      for cell in line.split(","))
+        with pytest.MonkeyPatch.context() as patch:
             dtypes = _loadtxt_dtypes(patch)
             try:
                 Dataset.from_csv(path, DISCRETE)

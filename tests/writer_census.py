@@ -1,7 +1,7 @@
 """Census of the CSV writer's continuous cells against ``"%.17g" %``.
 
 ``Dataset.to_csv`` formats continuous cells in numpy, block by block
-(``estimate._g17_text``).  This census compares that text, cell for cell,
+(``dataset._g17_text``).  This census compares that text, cell for cell,
 with what Python's ``"%.17g" %`` gives, on
 
 * 10,000,000 seeded random finite bit patterns, every finite double
@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from diffgraph.estimate import _WRITE_BLOCK, _g17_text
+from diffgraph.dataset import _WRITE_BLOCK, _g17_text
 
 SEED = 24
 CELLS = 10_000_000
