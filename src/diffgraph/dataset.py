@@ -44,9 +44,10 @@ class Dataset:
     Continuous rows are kept as a float64 matrix.  Discrete rows are kept as
     one int64 matrix in column-major order, so ``column`` gives each code
     column as a contiguous int64 view, not a copy.
-    Integer input (any signed or unsigned dtype, or lists of ints) is
-    checked in its own dtype before it is cast, so no code wraps; other
-    input is checked as floats, then cast once.  Either way a bad cell
+    Integer input (any signed or unsigned dtype, such as the uint8 codes
+    ``from_csv`` reads from one-digit cells, or lists of ints) is checked
+    in its own dtype before it is cast, so no code wraps; other input is
+    checked as floats, then cast once.  Either way a bad cell
     gets the message of its float twin.
 
     A bad cell is reported by the first one in row-major order, as "row r,
@@ -126,10 +127,10 @@ class Dataset:
         names; empty lines are skipped, and a ``#`` is no comment but a bad
         cell.  Every ValueError names ``path``.
 
-        A discrete file whose lines all share the byte layout of the first,
-        digit cells only, is read without parsing (``_discrete_rows``); any
-        other file is read by the double reader, and ``Dataset`` checks and
-        casts its values.  So every value reads as the same code whichever
+        A discrete file whose data lines are all one-digit cells is read
+        without parsing, as uint8 codes (``_discrete_rows``); any other file
+        is read by the double reader.  Either way ``Dataset`` checks and
+        casts the values.  So every value reads as the same code whichever
         step reads it, and every message is the same."""
         try:
             with open(path, "r", encoding="utf-8-sig") as fh:
@@ -296,75 +297,26 @@ def _g17_text(block):
 
 
 def _discrete_rows(fh, width):
-    """The data lines of ``fh`` as an int64 matrix when they all share the
-    byte layout of the first, ``width`` digit cells (``_layout``), else
-    None, for the double reader; ``fh`` is left where it was.  The codes are
-    those of the double reader's values.  The body is read whole: beyond the
-    matrix, its text, bytes and digit arrays take about twice its bytes at
-    the peak.  A body off the layout is read twice, here and by the double
+    """The data lines of ``fh`` as a uint8 matrix of codes when every line
+    is ``width`` one-digit cells, each ended by a comma and the last by a
+    newline, else None, for the double reader; ``fh`` is left where it
+    was.  The codes are those of the double reader's values.  The body is
+    read whole, its text and then its bytes, about twice its bytes at the
+    peak.  A body off the layout is read twice, here and by the double
     reader."""
     start = fh.tell()
-    text = fh.read()
+    body = np.frombuffer(fh.read().encode(), np.uint8)
     fh.seek(start)
-    layout = _layout(text, width)
-    codes = None if layout is None else _layout_codes(text, layout)
-    return None if codes is None else _horner(codes, layout[1])
-
-
-def _layout(text, width):
-    """The byte layout of the first line of ``text`` when it is ``width``
-    cells of 1 to 15 ASCII digits, so every code is below 2**53, each ended
-    by a comma or, the last, by a newline; else None.  The layout is the
-    line's bytes with each digit taken down to ``0``, the columns of its
-    commas and newline, and the columns ``_layout_codes`` keeps: the
-    digits, then the newline's, which holds 0 there."""
-    first = text[:text.find("\n") + 1]
-    cells = first[:-1].split(",")
-    if not (first.isascii() and len(cells) == width and all(
-            c.isdigit() and len(c) <= 15 for c in cells)):
+    if not body.size or body.size % (2 * width):
         return None
-    line = np.frombuffer(first.encode("ascii"), np.uint8)
-    digit = line >= ord("0")  # commas and the newline sit below it
-    ends = np.flatnonzero(~digit)
-    return (np.where(digit, np.uint8(ord("0")), line), ends,
-            np.append(np.flatnonzero(digit), ends[-1]))
-
-
-def _layout_codes(text, layout):
-    """The kept columns of the lines ``text`` less the layout's bytes, a
-    uint8 array of digit values, or None unless every line has the
-    layout."""
-    low, ends, keep = layout
-    if not text.isascii() or len(text) % len(low):
+    cells = body.reshape(-1, 2 * width)
+    ends = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)
+    # a digit takes its value and any other byte, non-ASCII ones
+    # included, more than 9: those below "0" wrap around
+    codes = cells[:, ::2] - np.uint8(ord("0"))
+    if codes.max() > 9 or (cells[:, 1::2] != ends).any():
         return None
-    codes = np.frombuffer(text.encode("ascii"), np.uint8).reshape(
-        -1, len(low)) - low
-    # a digit column holds its digit's value and a separator column 0,
-    # while any other byte wraps around to more than 9 or leaves a
-    # separator column nonzero
-    if codes.max() > 9 or codes[:, ends].any():
-        return None
-    return codes[:, keep]
-
-
-def _horner(codes, ends):
-    """Each cell's code from the kept digit columns ``codes`` of a layout
-    whose commas and newline sit at ``ends``, as an int64 matrix in
-    column-major order.  At most 15 digits a cell keep every code below
-    2**53."""
-    size = np.diff(ends, prepend=-1) - 1
-    # row p: each cell's column of its digit worth 10**p, or the last,
-    # zero column where the cell has none
-    place = np.arange(size.max())[:, None]
-    column = np.where(place < size, np.cumsum(size) - 1 - place, -1)
-    # the digit columns as rows, so each cell's codes build up in one
-    # contiguous row
-    digits = codes.T
-    data = digits[column[-1]].astype(np.int64)
-    for kept in column[-2::-1]:
-        data *= 10
-        data += digits[kept]
-    return data.T
+    return codes
 
 
 def _reads(lines, usecols=None):

@@ -336,8 +336,15 @@ def causal_change(verdict, data1, data2, x, y, laplace=None):
     if verdict.effect == TOTAL:
         grid = {"exposure_levels": max(d.cardinality(x) for d in pair),
                 "outcome_levels": max(d.cardinality(y) for d in pair)}
-    v1, v2 = (estimate_effect(verdict, d, x, y, laplace, **grid)
-              for d in pair)
+    values = []
+    for i, data in enumerate(pair, start=1):
+        try:
+            values.append(estimate_effect(verdict, data, x, y, laplace,
+                                          **grid))
+        except (PositivityError, SingularDesignError) as exc:
+            exc.args = (f"population {i}: {exc}",)
+            raise
+    v1, v2 = values
     if verdict.effect == DIRECT:
         change = v1 - v2
     else:

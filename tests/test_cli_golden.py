@@ -188,6 +188,10 @@ def cases():
                "x"),
         _argv("check-direct", "1h.txt", "X", "Y", "--laplace", "1"),
     ]
+    # a positivity fault in population 2
+    argvs.append(_argv("change", "1h.txt", "X", "Y", "--shared-order",
+                       "--data1", "disc1.csv", "--data2", "sparse.csv",
+                       "--discrete"))
     return argvs
 
 

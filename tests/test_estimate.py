@@ -322,19 +322,19 @@ _DISCRETE_CELLS = ["007", "+1", " 1", "1 ", "-0", "-1", "1.0", "1.", "1e0",
                    "1.0000000000000001", "nan", "1_0", "", "9007199254740993",
                    "9223372036854775808", "99999999999999999999"]
 
-def _int64_only(reader):
-    """``reader``, asserting that the codes it reads come as int64."""
+def _uint8_or_none(reader):
+    """``reader``, asserting that it gives a uint8 matrix or None."""
     def read(fh, width):
         codes = reader(fh, width)
-        assert codes is None or codes.dtype == np.int64
+        assert codes is None or (codes.dtype == np.uint8 and codes.ndim == 2)
         return codes
     return read
 
 
 # stand-ins for _discrete_rows that force each reader path of from_csv: the
-# fixed layout first, the double reader
+# one-digit layout first, the double reader
 _DISCRETE_READERS = [
-    _int64_only(dataset._discrete_rows),
+    _uint8_or_none(dataset._discrete_rows),
     lambda fh, width: None,
 ]
 
@@ -360,17 +360,17 @@ def _assert_reads_as_doubles(path):
     """``from_csv(path, DISCRETE)`` gives the codes of the double reader's
     rows, as an int64 column-major matrix, or the full error text of
     ``_from_csv_by_doubles``, whichever reader path it takes, and a reader
-    that reads the codes gives them as int64.  A ``Dataset`` built from
-    those rows as floats, as int64 and uint64 arrays that hold them
-    exactly, and as lists gives the same codes or message.  The codes are
-    returned, or None."""
+    that reads the codes gives them as a uint8 matrix.  A ``Dataset`` built
+    from those rows as floats, as uint8, int64 and uint64 arrays that hold
+    them exactly, and as lists gives the same codes or message.  The codes
+    are returned, or None."""
     names, expected = _from_csv_by_doubles(path)
     if not isinstance(expected, str):
         doubles = expected
         forms = [doubles.tolist()]
-        for dtype in (np.int64, np.uint64):
+        for dtype in (np.uint8, np.int64, np.uint64):
             info = np.iinfo(dtype)
-            # float(info.max) rounds up to 2**63 or 2**64
+            # float(info.max) rounds up to 2**63 or 2**64; uint8 skips 255
             if ((doubles % 1 == 0) & (info.min <= doubles)
                     & (doubles < float(info.max))).all():
                 forms += [doubles.astype(dtype),
@@ -424,7 +424,7 @@ def _loadtxt_dtypes(monkeypatch):
 @pytest.mark.parametrize("cell", ["1.0", "1e0", "nan", "1_0", "1.5"])
 def test_a_body_no_integer_parse_can_take_goes_straight_to_doubles(
         tmp_path, monkeypatch, cell):
-    """A body off the fixed layout, here from row 11 on, is read by one
+    """A body off the one-digit layout, here from row 11 on, is read by one
     ``np.loadtxt`` call of float dtype, whether a cell on row 3,000 is no
     plain integer or every cell is a variable-width plain integer."""
     lines = (["X,Y"] + [f"{r % 3},{r % 20}" for r in range(2999)]
@@ -444,22 +444,23 @@ def test_a_body_no_integer_parse_can_take_goes_straight_to_doubles(
 
 def test_a_fixed_layout_file_is_read_without_the_numpy_reader(tmp_path,
                                                               monkeypatch):
-    """Single-digit and zero-padded codes, LF or CRLF, read right with
-    ``np.loadtxt`` made to fail, so a silent fall-through to a parser
-    cannot hide behind right values."""
+    """Single-digit codes, LF or CRLF, read right with no ``np.loadtxt``
+    call, so a silent fall-through to a parser cannot hide behind right
+    values; zero-padded codes read the same codes through one call of the
+    double reader."""
     single = np.arange(3000)[:, None] % np.array([3, 2, 10])
     padded = np.arange(3000)[:, None] % np.array([3, 2, 997])
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.loadtxt called on a fixed-layout file")
-    monkeypatch.setattr(np, "loadtxt", refuse)
+    dtypes = _loadtxt_dtypes(monkeypatch)
     for cells, newline, codes in (("%d,%d,%d", "\n", single),
+                                  ("%d,%d,%d", "\r\n", single),
                                   ("%d,%d,%03d", "\n", padded),
                                   ("%02d,%d,%03d", "\r\n", padded)):
         path = tmp_path / "d.csv"
         path.write_text("\ufeffX,Y,Z" + newline + "".join(
             cells % tuple(r) + newline for r in codes.tolist()), newline="")
+        dtypes.clear()
         data = Dataset.from_csv(path, DISCRETE)
+        assert dtypes == ([] if codes is single else [float])
         assert data.variable_names == ("X", "Y", "Z")
         # the int64 column-major matrix every reader gives
         assert data.rows.dtype == np.int64 and data.rows.flags.f_contiguous
@@ -474,8 +475,8 @@ _LAYOUT_MISSES = [None, "longer row", "no final newline", "blank lines",
 @st.composite
 def _fixed_layout_files(draw):
     """A discrete CSV file whose data lines share one byte layout of
-    zero-padded codes, or miss it by one change: its text, its width and
-    the change."""
+    one-digit or zero-padded codes, or miss it by one change: its text, its
+    width and the change."""
     width = draw(st.integers(1, 6))
     sizes = draw(st.one_of(
         st.just([1] * width),
@@ -517,7 +518,8 @@ def test_fixed_layout_files_and_near_misses_read_as_doubles(
     path.write_text(text, newline="")
     _assert_reads_as_doubles(path)
     if miss is None:
-        # no numpy reader runs unless a cell is too long for the layout
+        # no numpy reader runs on one-digit cells, and the double reader
+        # runs once on longer ones
         longest = max(len(cell) for line in text.splitlines()[1:]
                       for cell in line.split(","))
         with pytest.MonkeyPatch.context() as patch:
@@ -526,7 +528,7 @@ def test_fixed_layout_files_and_near_misses_read_as_doubles(
                 Dataset.from_csv(path, DISCRETE)
             except ValueError:
                 assert longest > 15  # a 16-digit code of 2**53 or more
-            assert (dtypes == []) == (longest <= 15)
+            assert dtypes == ([] if longest == 1 else [float])
 
 
 _CSV_NAMES = st.lists(st.sampled_from(["X", "Y", "W1", "W2", "Z"]),
@@ -1192,6 +1194,36 @@ def test_causal_change_matches_datasets_by_variable_name():
         renamed = Dataset(("W1", "X", "W2", "Z"), data2.rows, data2.kind)
         with pytest.raises(ValueError, match="different variables"):
             causal_change(verdict, data1, renamed, "X", "Y")
+
+
+def test_causal_change_names_the_population_of_an_estimator_fault():
+    """A positivity or singular-design fault says which population it came
+    from and keeps its type and cell; other faults keep their text."""
+    disc = _gallery_discrete(4, n=400)
+    w1, x = disc.column("W1"), disc.column("X")
+    # never X = 1 within stratum W1 = 0
+    sparse = Dataset(disc.variable_names, disc.rows[(w1 != 0) | (x != 1)],
+                     DISCRETE)
+    cont = _gallery_linear(4, 1.0, n=400)
+    rows = cont.rows.copy()
+    rows[:, 2] = rows[:, 0]  # W2 repeats W1
+    collinear = Dataset(cont.variable_names, rows, CONTINUOUS)
+    for verdict, good, bad, kind in (
+            (_total_verdict(), disc, sparse, PositivityError),
+            (_direct_verdict(), cont, collinear, SingularDesignError)):
+        with pytest.raises(kind) as exc_info:
+            estimate_effect(verdict, bad, "X", "Y")
+        alone = exc_info.value
+        for i, pair in ((1, (bad, good)), (2, (good, bad))):
+            with pytest.raises(kind) as exc_info:
+                causal_change(verdict, *pair, "X", "Y")
+            err = exc_info.value
+            assert str(err) == f"population {i}: {alone}"
+            if kind is PositivityError:
+                assert err.stratum == alone.stratum == {"W1": 0}
+                assert err.exposure_value == alone.exposure_value == 1
+    assert _message(causal_change, _direct_verdict(), cont, cont, "X", "Y",
+                    1.0) == "laplace smoothing applies to total effects only"
 
 
 def test_interventional_table_validation():
