@@ -54,17 +54,12 @@ def _load_graph(path):
         return DifferenceGraph.from_edge_list(fh.read())
 
 
-def _seed(text):
-    if not text.isdecimal():
+def _count(low, text):
+    """argparse type: a decimal integer of at least ``low``, 0 or 1."""
+    if not text.isdecimal() or int(text) < low:
+        what = "positive" if low else "non-negative"
         raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _rows(text):
-    if not text.isdecimal() or int(text) == 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
+            f"expected a {what} integer, got {text!r}")
     return int(text)
 
 
@@ -252,8 +247,8 @@ def build_parser():
                        help="draw a compatible linear-SCM pair and sample "
                             "two datasets")
     _graph_flags(p, with_query=False)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--n", type=_rows, default=10000)
+    p.add_argument("--seed", type=functools.partial(_count, 0), default=0)
+    p.add_argument("--n", type=functools.partial(_count, 1), default=10000)
     p.add_argument("--out", default=".", metavar="DIR")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simulate)

@@ -300,23 +300,25 @@ def _discrete_rows(fh, width):
     """The data lines of ``fh`` as a uint8 matrix of codes when every line
     is ``width`` one-digit cells, each ended by a comma and the last by a
     newline, else None, for the double reader; ``fh`` is left where it
-    was.  The codes are those of the double reader's values.  The body is
-    read whole, its text and then its bytes, about twice its bytes at the
-    peak.  A body off the layout is read twice, here and by the double
-    reader."""
+    was.  The codes are those of the double reader's values; each cell is
+    checked with its separator, as one uint16.  The body is read whole,
+    its text and then its bytes, about twice its bytes at the peak.  A
+    body off the layout is read twice, here and by the double reader."""
     start = fh.tell()
-    body = np.frombuffer(fh.read().encode(), np.uint8)
+    body = fh.read().encode()
     fh.seek(start)
-    if not body.size or body.size % (2 * width):
+    if not body or len(body) % (2 * width):
         return None
-    cells = body.reshape(-1, 2 * width)
-    ends = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)
-    # a digit takes its value and any other byte, non-ASCII ones
-    # included, more than 9: those below "0" wrap around
-    codes = cells[:, ::2] - np.uint8(ord("0"))
-    if codes.max() > 9 or (cells[:, 1::2] != ends).any():
+    # a (digit, separator) pair is digit + 256 * separator; less the pair
+    # of "0" and the column's separator, a right pair gives its digit, a
+    # digit byte below "0" borrows and wraps to 65,488 or more, one above
+    # "9" gives 10 or more, and a wrong separator adds 256 to 65,280 to the
+    # digit byte less 48 (-48 to 207), so leaves 208 (256 - 48) or more
+    codes = (np.frombuffer(body, "<u2").reshape(-1, width)
+             - np.frombuffer(b"0," * (width - 1) + b"0\n", "<u2"))
+    if codes.max() > 9:
         return None
-    return codes
+    return codes.astype(np.uint8)
 
 
 def _reads(lines, usecols=None):

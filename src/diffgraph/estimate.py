@@ -184,8 +184,8 @@ def _joint_counts(data, x, y, w, laplace, exposure_levels, outcome_levels):
     ky counts between them, and the other extra memory is O(rows)."""
     w = _checked_inputs(data, DISCRETE, x, y, w, laplace)
     xcol, ycol = data.column(x), data.column(y)
-    kx = exposure_levels or data.cardinality(x)
-    ky = outcome_levels or data.cardinality(y)
+    kx = data.cardinality(x) if exposure_levels is None else exposure_levels
+    ky = data.cardinality(y) if outcome_levels is None else outcome_levels
     if xcol.max() >= kx or ycol.max() >= ky:
         raise ValueError("observed codes exceed the requested level grid")
     rows = len(data)

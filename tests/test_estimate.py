@@ -467,6 +467,27 @@ def test_a_fixed_layout_file_is_read_without_the_numpy_reader(tmp_path,
         assert np.array_equal(data.rows, codes)
 
 
+def test_every_ascii_byte_pair_of_a_cell_is_taken_or_refused_exactly():
+    """In either column of a two-row body, the one-digit reader gives codes
+    exactly when the cell's two bytes are a digit and that column's
+    separator, and the codes are the digits."""
+    ascii_ = [chr(b) for b in range(128)]
+    for column, end in ((0, ","), (1, "\n")):
+        for digit in ascii_:
+            for sep in ascii_:
+                row = ["6,", "5\n"]
+                row[column] = digit + sep
+                codes = dataset._discrete_rows(
+                    io.StringIO("3,4\n" + "".join(row)), 2)
+                if digit.isdigit() and sep == end:
+                    expected = [[3, 4], [6, 5]]
+                    expected[1][column] = int(digit)
+                    assert codes.dtype == np.uint8
+                    assert codes.tolist() == expected
+                else:
+                    assert codes is None, (digit, sep)
+
+
 # one change that takes a file off its fixed layout, or none
 _LAYOUT_MISSES = [None, "longer row", "no final newline", "blank lines",
                   "separator", "+1", " 1", "-0", "1.0"]
@@ -922,6 +943,20 @@ def test_requested_level_grid_extends_the_table():
     gapped = _discrete(None, x=[0, 1], y=[0, 2])
     with pytest.raises(ValueError, match="exceed the requested level grid"):
         marginal_table(gapped, "x", "y", outcome_levels=2)
+
+
+def test_a_level_grid_of_zero_is_refused_like_any_grid_below_the_codes():
+    """A grid of 0 is a grid, not a request for the observed one."""
+    data = _gallery_discrete(5, n=200)
+    for grid in ({"exposure_levels": 0}, {"outcome_levels": 0}):
+        for estimate in (
+                lambda: adjustment_total(data, "X", "Y", ("W1",), **grid),
+                lambda: marginal_table(data, "X", "Y", **grid),
+                lambda: estimate_effect(_total_verdict(), data, "X", "Y",
+                                        **grid)):
+            with pytest.raises(ValueError,
+                               match="exceed the requested level grid"):
+                estimate()
 
 
 def test_marginal_table_matches_empirical_marginal_exactly():
