@@ -11,9 +11,12 @@ Ancestor and descendant sets are REFLEXIVE throughout (a vertex is its own
 ancestor and descendant); parent and child sets are not.  Every decision
 procedure in the package is written against this convention.
 
-Graphs are immutable after construction and safe to share across threads.
-All set-valued results are reported in vertex order, which is the order of
-first appearance (explicit declarations first, then edge endpoints).
+Graphs are immutable and safe to share across threads: a difference graph
+builds its parent and child lists on first use, and a race only builds equal
+lists twice.  All set-valued results are reported in vertex order, which is
+the order of first appearance (explicit declarations first, then edge
+endpoints).  The edge-list parser reads ``a -> b`` lines over seen names,
+and ``node v`` lines, from their tokens alone.
 """
 
 import heapq
@@ -79,23 +82,34 @@ class _Digraph:
     def _build(self, index, edges):
         """Set the graph from ``index``, each checked vertex name mapped to
         its position, and a set of ``edges`` between them, none a
-        self-loop."""
+        self-loop.  The parent and child lists wait for first use."""
         self._index = index
         self._vertices = tuple(index)
         self._edges = frozenset(edges)
-        heads = {v: [] for v in index}
+
+    def _link(self):
+        """Set ``_parents`` and ``_children`` (lists in vertex order)."""
+        heads = {v: [] for v in self._index}
         for tail, head in self._edges:
             heads[tail].append(head)
         # visiting tails, then heads, in vertex order lists each vertex's
         # parents, then children, in vertex order with no sort
-        self._parents = parents = {v: [] for v in index}
+        parents = {v: [] for v in self._index}
         for tail, tail_heads in heads.items():
             for head in tail_heads:
                 parents[head].append(tail)
-        self._children = children = {v: [] for v in index}
+        children = {v: [] for v in self._index}
         for head, head_tails in parents.items():
             for tail in head_tails:
                 children[tail].append(head)
+        # set only once complete, as another thread may read them then
+        self._parents, self._children = parents, children
+
+    def __getattr__(self, name):
+        # reached only while a list is unset; a race builds equal ones
+        if name in ("_parents", "_children"):
+            self._link()
+        return object.__getattribute__(self, name)
 
     @property
     def vertices(self):
@@ -191,8 +205,15 @@ class _Digraph:
         return order
 
     def is_acyclic(self):
-        """True iff a topological order exists (Kahn's algorithm)."""
-        return len(self._kahn()) == len(self._vertices)
+        """True iff Kahn's algorithm, in any order, removes every vertex."""
+        indegree = {v: len(tails) for v, tails in self._parents.items()}
+        ready = [v for v, k in indegree.items() if not k]
+        for u in ready:  # the loop also visits the vertices it appends
+            for c in self._children[u]:
+                indegree[c] -= 1
+                if not indegree[c]:
+                    ready.append(c)
+        return len(ready) == len(self._vertices)
 
     def sort_vertices(self, names):
         """Sort an iterable of vertex names into this graph's vertex order."""
@@ -216,7 +237,9 @@ class _Digraph:
         One item per line: ``node <name>`` declares a vertex, ``<tail> ->
         <head>`` declares an edge (and implicitly declares its endpoints),
         ``#`` starts a comment.  Vertex order is file order of first
-        appearance.
+        appearance.  A line ``a -> b`` over two distinct seen names, and a
+        line ``node v``, are read from their tokens alone.  A difference
+        graph builds its parent and child lists on first use.
 
         Raises
         ------
@@ -231,25 +254,20 @@ class _Digraph:
 def _parse_edge_list_text(text):
     """The vertex index of ``text``, each name checked once and mapped to
     its position in order of first appearance, and its set of edges.  No
-    name the parser keeps holds a ``#`` or a ``->``."""
+    name the parser keeps holds a ``#``, a ``->`` or whitespace."""
     first = {}
     edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split()
+        if (len(tokens) == 3 and tokens[1] == "->" and tokens[0] in first
+                and tokens[2] in first and tokens[0] != tokens[2]):
+            edges.add((tokens[0], tokens[2]))
             continue
-        if "->" in line:
-            names = line.split("->")
-            if len(names) != 2:
-                raise ParseError(lineno, "expected exactly one '->' per edge")
-            names = (names[0].strip(), names[1].strip())
+        if (len(tokens) == 2 and tokens[0] == "node"
+                and "#" not in tokens[1] and "->" not in tokens[1]):
+            names = (tokens[1],)
         else:
-            tokens = line.split()
-            if len(tokens) != 2 or tokens[0] != "node":
-                raise ParseError(
-                    lineno, f"cannot parse {line!r} (expected 'node <name>' "
-                    "or '<tail> -> <head>')")
-            names = tokens[1:]
+            names = _line_names(lineno, raw)
         for name in names:
             if name not in first:
                 try:
@@ -263,6 +281,24 @@ def _parse_edge_list_text(text):
                     lineno, f"self-loop on {names[0]!r} is not allowed")
             edges.add(names)
     return first, edges
+
+
+def _line_names(lineno, raw):
+    """The names on a line of edge-list text: none, a vertex or an edge's."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return ()
+    if "->" in line:
+        names = line.split("->")
+        if len(names) != 2:
+            raise ParseError(lineno, "expected exactly one '->' per edge")
+        return names[0].strip(), names[1].strip()
+    tokens = line.split()
+    if len(tokens) != 2 or tokens[0] != "node":
+        raise ParseError(
+            lineno, f"cannot parse {line!r} (expected 'node <name>' "
+            "or '<tail> -> <head>')")
+    return tokens[1:]
 
 
 class DifferenceGraph(_Digraph):
@@ -292,6 +328,7 @@ class CausalDag(_Digraph):
 
     def _build(self, index, edges):
         super()._build(index, edges)
+        self._link()  # at once, as the acyclicity test needs the lists
         if not self.is_acyclic():
             parents = self._parents
             on_cycle = [v for v in self._vertices

@@ -278,7 +278,7 @@ def _decide(q, effect, shared_order):
         null = (_unreachable(d, x, {y}) if effect == TOTAL
                 else _d_only(d, y, x))
         adjust = (x, y) in d.edges and _splits_around(d, pivot)
-        members = set(d.parents(pivot)) - {x}
+        members = set(d.parents(pivot)) - {x} if adjust else ()
     if null:
         return _verdict(effect, NULL_EFFECT, x, y, letter + ".1")
     if adjust:

@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 
 from diffgraph import CausalDag, DifferenceGraph, shares_topological_order
+from diffgraph.graphs import ParseError, _check_label
 
 VERTICES_2 = ("X", "Y")
 VERTICES_4 = ("W1", "X", "W2", "Y")
@@ -173,6 +174,43 @@ def d_separated_by_paths(g, x, y, w=()):
         if connecting:
             return False
     return True
+
+
+def parse_edge_list_by_rules(text):
+    """Second edge-list reader: every line through the format's rules, with
+    no token path.  Returns the vertex index (name -> position in order of
+    first appearance) and the edge set, or raises ParseError."""
+    first = {}
+    edges = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "->" in line:
+            names = line.split("->")
+            if len(names) != 2:
+                raise ParseError(lineno, "expected exactly one '->' per edge")
+            names = (names[0].strip(), names[1].strip())
+        else:
+            tokens = line.split()
+            if len(tokens) != 2 or tokens[0] != "node":
+                raise ParseError(
+                    lineno, f"cannot parse {line!r} (expected 'node <name>' "
+                    "or '<tail> -> <head>')")
+            names = tokens[1:]
+        for name in names:
+            if name not in first:
+                try:
+                    _check_label(name)
+                except ValueError as exc:
+                    raise ParseError(lineno, str(exc)) from None
+                first[name] = len(first)
+        if len(names) == 2:
+            if names[0] == names[1]:
+                raise ParseError(
+                    lineno, f"self-loop on {names[0]!r} is not allowed")
+            edges.add(names)
+    return first, edges
 
 
 def joint_counts_by_sorting(data, x, y, w):

@@ -2,10 +2,11 @@
 
 import collections
 import itertools
+import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 try:
@@ -29,6 +30,7 @@ from helpers import (
     PAIRS_1H,
     PAIRS_2C,
     d_separated_by_paths,
+    parse_edge_list_by_rules,
 )
 
 
@@ -232,12 +234,24 @@ def test_edge_list_parsing_details():
     ("node A\nA -> B\nB -> \n", 3),
     ("A -> B\nB -> C\nC -> D,E\n", 3),
     ("node A\n\nA -> B C\n", 3),
+    # lines of three tokens over seen names that the token path refuses
+    ("node A\nA -> A\n", 2),
+    ("node A\nnode B\nA -> B -> A\n", 3),
+    ("node A\nnode B\nA -> B,C\n", 3),
 ])
 def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(ParseError) as exc_info:
         DifferenceGraph.from_edge_list(text)
     assert exc_info.value.line_number == lineno
     assert f"line {lineno}:" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("line", [
+    "A -> B#c", "A->B", "\tA\t->\tB", "A -> B  # c"])
+def test_edge_lines_over_seen_names_read_one_edge(line):
+    g = DifferenceGraph.from_edge_list(f"node A\nnode B\n{line}\n")
+    assert g.vertices == ("A", "B")
+    assert g.edges == {("A", "B")}
 
 
 def test_each_distinct_name_is_checked_once(monkeypatch):
@@ -370,3 +384,84 @@ def test_every_graph_the_constructor_accepts_round_trips(labels, data):
                       if pairs else st.just([]))
     g = DifferenceGraph(vertices=good, edges=edges)
     assert DifferenceGraph.from_edge_list(g.to_edge_list()) == g
+
+
+# pieces of edge-list lines: names, arrows and their halves, comments,
+# commas and three kinds of whitespace
+_PIECES = ("node", "A", "B", "A-", "->", "-", ">", "#", ",", " ", "\t",
+           "\u00a0")
+# mostly names, so that a text runs long enough to repeat them
+_WORDS = st.sampled_from(("A", "B", "A-", "node") * 6 + _PIECES)
+_GAPS = st.sampled_from(("", " ", "\t", "\u00a0", "  "))
+_LINES = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=3).map("".join),
+    # edge- and node-shaped lines, which reach the token path once their
+    # names are seen
+    st.builds("{}{}{}->{}{}{}".format, _GAPS, _WORDS, _GAPS, _GAPS, _WORDS,
+              st.sampled_from(("", " ", "#", " # c"))),
+    st.builds("{}node{}{}".format, _GAPS,
+              st.sampled_from((" ", "\t", "\u00a0")), _WORDS),
+)
+_LINE_ENDS = st.sampled_from(("\n", "\r\n", "\r", "\x0b", "\x1c",
+                              "\u2028"))
+
+
+def _parse_outcome(parse, text):
+    try:
+        index, edges = parse(text)
+    except ParseError as exc:
+        return "error", exc.line_number, str(exc)
+    return "graph", list(index.items()), edges
+
+
+@settings(max_examples=500)
+@given(st.lists(st.tuples(_LINES, _LINE_ENDS), max_size=8))
+@example([("node A", "\n"), ("B -> A", "\n")])  # a new tail, a seen head
+def test_parser_matches_the_line_rules(lines):
+    """The token path reads every text as the format's line rules do: the
+    same index in the same order and the same edges, or the same error on
+    the same line."""
+    text = "".join(line + end for line, end in lines)
+    assert (_parse_outcome(graphs._parse_edge_list_text, text)
+            == _parse_outcome(parse_edge_list_by_rules, text))
+
+
+def _random_digraphs(count, max_vertices, seed):
+    """``count`` seeded (vertices, edges) pairs of 1 to ``max_vertices``
+    vertices, cyclic ones included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = [f"V{i}" for i in range(rng.randint(1, max_vertices))]
+        pairs = list(itertools.permutations(names, 2))
+        yield names, rng.sample(pairs, rng.randint(0, min(len(pairs), 12)))
+
+
+def test_is_acyclic_counts_what_kahn_removes():
+    kinds = collections.Counter()
+    for names, edges in _random_digraphs(600, 8, seed=30):
+        g = DifferenceGraph(vertices=names, edges=edges)
+        acyclic = g.is_acyclic()
+        assert acyclic == (len(g._kahn()) == len(g.vertices))
+        kinds[acyclic] += 1
+        if acyclic:
+            assert CausalDag(vertices=names, edges=edges).edges == g.edges
+            continue
+        on_cycle = [v for v in g.vertices
+                    if any(v in g.descendants(c) for c in g.children(v))]
+        with pytest.raises(ValueError, match=re.escape(
+                f"graph is not acyclic (cycle through {on_cycle})")):
+            CausalDag(vertices=names, edges=edges)
+    assert min(kinds[True], kinds[False]) > 100
+
+
+@given(digraphs(max_vertices=6))
+def test_parsed_graph_links_match_the_constructor(g):
+    built = DifferenceGraph(vertices=g.vertices, edges=g.edges)
+    parsed = DifferenceGraph.from_edge_list(g.to_edge_list())
+    for v in g.vertices:
+        assert parsed.parents(v) == built.parents(v) == tuple(
+            u for u in g.vertices if (u, v) in g.edges)
+        assert parsed.children(v) == built.children(v) == tuple(
+            u for u in g.vertices if (v, u) in g.edges)
+        assert parsed.ancestors(v) == built.ancestors(v)
+        assert parsed.descendants(v) == built.descendants(v)
