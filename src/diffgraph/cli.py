@@ -34,7 +34,7 @@ from .identify import (
     identify_direct,
     identify_total,
 )
-from .oracle import oracle_direct, oracle_total
+from .oracle import VERTEX_CAP, oracle_direct, oracle_total
 from .simulate import sample_compatible_pair, sample_dataset
 
 EXIT_OK = 0
@@ -69,8 +69,8 @@ def _graph_flags(sub, with_query=True):
     if with_query:
         sub.add_argument("--exposure", required=True, metavar="X")
         sub.add_argument("--outcome", required=True, metavar="Y")
-        # a query verb without data flags names no data file
-        sub.set_defaults(data1=None, data2=None)
+        # a query verb without data or smoothing flags names neither
+        sub.set_defaults(data1=None, data2=None, laplace=None)
     sub.add_argument("--shared-order", action="store_true",
                      help="assume both models admit one topological order")
 
@@ -118,25 +118,23 @@ def _query(args, effect, oracle=False):
     """Decide one query and print the verdict, then estimate from the data
     files the command names.
 
-    ``check-*`` decide with the closed form and ``oracle-*`` with the
-    brute-force oracle, which prints its own text (witness models
-    included); neither takes data.  ``estimate-*`` and ``change`` decide
-    with the closed form too.  A NotIdentifiable verdict is printed alone
-    (exit 2).  Otherwise ``--data1`` (and for ``change`` also ``--data2``)
-    is read as the effect's data kind and estimated by
-    :func:`estimate_effect` (one dataset) or :func:`causal_change` (two),
-    printed after the verdict line.  The graph is read before any CSV file.
+    ``check-*`` and ``oracle-*`` take no data; they decide with the closed
+    form and with the brute-force oracle, whose text lists witness models.
+    ``estimate-*`` and ``change`` decide with the closed form.  A
+    NotIdentifiable verdict is printed alone (exit 2).  Otherwise each data
+    file (``--data1``, and ``--data2`` for ``change``) is read after the
+    graph, as the effect's data kind, and estimated by :func:`estimate_effect`
+    (one file) or :func:`causal_change` (two), printed after the verdict.
     """
     d = _load_graph(args.graph)
     x, y = args.exposure, args.outcome
     if oracle:
         decide = oracle_total if effect == TOTAL else oracle_direct
         verdict = decide(d, x, y, shared_order=args.shared_order)
-        text = _oracle_text(args, verdict)
     else:
         q = EffectQuery(d, x, y, shared_order_assumed=args.shared_order)
         verdict = identify_total(q) if effect == TOTAL else identify_direct(q)
-        text = _verdict_text(args, verdict)
+    text = (_oracle_text if oracle else _verdict_text)(args, verdict)
     doc = verdict.as_dict()
     paths = [path for path in (args.data1, args.data2) if path is not None]
     if paths and verdict.kind != NOT_IDENTIFIABLE:
@@ -145,14 +143,12 @@ def _query(args, effect, oracle=False):
             report = causal_change(verdict, *data, x, y, laplace=args.laplace)
             doc = {"verdict": doc, "report": report.as_dict()}
             text += "\n" + format_change_report(report, x, y)
-        elif effect == TOTAL:
-            table = estimate_effect(verdict, *data, x, y, laplace=args.laplace)
-            doc = {"verdict": doc, "estimate": table.as_dict()}
-            text += "\n" + format_interventional_table(table, x, y)
         else:
-            alpha = estimate_effect(verdict, *data, x, y)
-            doc = {"verdict": doc, "estimate": alpha}
-            text += f"\nalpha({x}->{y}) estimate: {alpha:.6f}"
+            est = estimate_effect(verdict, *data, x, y, laplace=args.laplace)
+            total = effect == TOTAL
+            doc = {"verdict": doc, "estimate": est.as_dict() if total else est}
+            text += "\n" + (format_interventional_table(est, x, y) if total
+                            else f"alpha({x}->{y}) estimate: {est:.6f}")
     _emit(args, doc, text)
     return (EXIT_NOT_IDENTIFIABLE if verdict.kind == NOT_IDENTIFIABLE
             else EXIT_OK)
@@ -162,14 +158,13 @@ def _cmd_simulate(args):
     d = _load_graph(args.graph)
     pair = sample_compatible_pair(d, shared_order=args.shared_order,
                                   seed=args.seed)
-    data1 = sample_dataset(pair.scm1, args.n, seed=args.seed + 1)
-    data2 = sample_dataset(pair.scm2, args.n, seed=args.seed + 2)
+    draws = [sample_dataset(scm, args.n, seed=args.seed + i)
+             for i, scm in enumerate((pair.scm1, pair.scm2), start=1)]
     os.makedirs(args.out, exist_ok=True)
-    path1 = os.path.join(args.out, "data1.csv")
-    path2 = os.path.join(args.out, "data2.csv")
-    manifest_path = os.path.join(args.out, "manifest.json")
-    data1.to_csv(path1)
-    data2.to_csv(path2)
+    paths = [os.path.join(args.out, name)
+             for name in ("data1.csv", "data2.csv", "manifest.json")]
+    for data, path in zip(draws, paths):
+        data.to_csv(path)
     manifest = {
         "seed": args.seed,
         "n": args.n,
@@ -180,11 +175,11 @@ def _cmd_simulate(args):
         "datasets": {"data1": "data1.csv", "data2": "data2.csv",
                      "seed1": args.seed + 1, "seed2": args.seed + 2},
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with open(paths[2], "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     _emit(args, manifest,
-          f"wrote {path1}, {path2} and {manifest_path} "
+          f"wrote {paths[0]}, {paths[1]} and {paths[2]} "
           f"(n={args.n}, seed={args.seed})")
     return EXIT_OK
 
@@ -202,30 +197,28 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    for name, effect in (("check-total", TOTAL), ("check-direct", DIRECT)):
-        p = sub.add_parser(name, help=f"closed-form {effect}-effect verdict")
-        _graph_flags(p)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=lambda a, e=effect: _query(a, e))
-
-    for name, effect in (("oracle-total", TOTAL), ("oracle-direct", DIRECT)):
-        p = sub.add_parser(name, help=f"brute-force {effect}-effect verdict "
-                                      "(5-vertex cap)")
-        _graph_flags(p)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=lambda a, e=effect: _query(a, e, oracle=True))
-
-    for name, effect, summary in (
-            ("estimate-total", TOTAL, "estimate P(y|do(x)) from one dataset"),
+    cap = f"({VERTEX_CAP}-vertex cap)"
+    for name, effect, summary, oracle, reads_data in (
+            ("check-total", TOTAL, "closed-form total-effect verdict",
+             False, False),
+            ("check-direct", DIRECT, "closed-form direct-effect verdict",
+             False, False),
+            ("oracle-total", TOTAL, f"brute-force total-effect verdict {cap}",
+             True, False),
+            ("oracle-direct", DIRECT,
+             f"brute-force direct-effect verdict {cap}", True, False),
+            ("estimate-total", TOTAL, "estimate P(y|do(x)) from one dataset",
+             False, True),
             ("estimate-direct", DIRECT,
-             "estimate the path coefficient from one dataset")):
+             "estimate the path coefficient from one dataset", False, True)):
         p = sub.add_parser(name, help=summary)
         _graph_flags(p)
-        p.add_argument("--data1", required=True, metavar="CSV")
-        if effect == TOTAL:
-            p.add_argument("--laplace", type=float, metavar="ALPHA")
+        if reads_data:
+            p.add_argument("--data1", required=True, metavar="CSV")
+            if effect == TOTAL:
+                p.add_argument("--laplace", type=float, metavar="ALPHA")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=lambda a, e=effect: _query(a, e))
+        p.set_defaults(func=lambda a, e=effect, o=oracle: _query(a, e, o))
 
     p = sub.add_parser("change",
                        help="estimate the causal change between two "

@@ -153,16 +153,14 @@ def _checked_inputs(data, kind, x, y, w, laplace=None):
     return w
 
 
-def _dense_rank(keys, top, present=None):
+def _dense_rank(keys, top):
     """Each of the non-negative ``keys``, all below ``top``, ranked among the
-    distinct keys as np.unique's inverse does, and the number of them.
-    ``present``, when given, flags the keys below ``top`` that occur."""
-    if present is None:
-        if top > _KEYS_PER_ROW * len(keys):
-            levels, rank = np.unique(keys, return_inverse=True)
-            return rank, len(levels)
-        present = np.zeros(top, dtype=bool)
-        present[keys] = True
+    distinct keys as np.unique's inverse does, and the number of them."""
+    if top > _KEYS_PER_ROW * len(keys):
+        levels, rank = np.unique(keys, return_inverse=True)
+        return rank, len(levels)
+    present = np.zeros(top, dtype=bool)
+    present[keys] = True
     rank = np.cumsum(present, dtype=np.int64)
     rank -= 1
     return rank[keys], int(rank[-1]) + 1
@@ -216,7 +214,7 @@ def _joint_counts(data, x, y, w, laplace, exposure_levels, outcome_levels):
     present = counts.any(axis=(1, 2))
     if not present.all():
         counts = counts[present]
-        key = _dense_rank(key, top, present)[0]
+        key = (np.cumsum(present, dtype=np.int64) - 1)[key]
     return w, key, counts
 
 

@@ -548,13 +548,26 @@ def test_figures_matches_golden_bytes(capsys):
     assert capsys.readouterr().out == GOLDEN.read_text()
 
 
-def test_installed_script_runs():
-    # the child imports the package this test imported, also when pytest
-    # put it on sys.path without PYTHONPATH
+def _run_module(*argv):
+    """``python -m *argv`` in a child that imports the package this test
+    imported, also when pytest put it on sys.path without PYTHONPATH."""
     home = str(pathlib.Path(diffgraph.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "diffgraph.cli", "figures"],
+    return subprocess.run(
+        [sys.executable, "-m", *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_installed_script_runs():
+    proc = _run_module("diffgraph.cli", "figures")
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN.read_text()
+
+
+def test_python_dash_m_diffgraph_runs_the_cli():
+    proc = _run_module("diffgraph", "figures")
+    assert proc.returncode == 0
+    assert proc.stdout == GOLDEN.read_text()
+    proc = _run_module("diffgraph", "check-total")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: diffgraph")

@@ -10,8 +10,13 @@ differ between BLAS builds.
 that ``SIMULATE_ARGV`` writes.  ``--n`` spans more than one block of the
 CSV writer.  Sampling draws no BLAS call, so the digests hold on any build.
 
-To record the cases and the digests anew, run ``PYTHONPATH=src python
-tests/test_cli_golden.py`` from the repository root.
+``golden/cli_surface.json`` holds the parser's surface (``surface``): the
+subcommands with their help lines, and every argument's fields, in order.
+It records fields, not rendered help, as argparse wraps lines differently
+across Python versions.
+
+To record the cases, the digests and the surface anew, run ``PYTHONPATH=src
+python tests/test_cli_golden.py`` from the repository root.
 """
 
 import contextlib
@@ -26,11 +31,12 @@ import tempfile
 
 import pytest
 
-from diffgraph.cli import main
+from diffgraph.cli import build_parser, main
 from helpers import DG_1H, DG_1M, DG_2F
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_cases.json"
 SIMULATE_GOLDEN = GOLDEN.with_name("simulate_sha256.json")
+SURFACE_GOLDEN = GOLDEN.with_name("cli_surface.json")
 SIMULATE_ARGV = ["simulate", "--graph", "1m.txt", "--shared-order",
                  "--n", "5000", "--seed", "3", "--out", "sim"]
 
@@ -217,6 +223,21 @@ def simulate_digests():
             for name in ("data1.csv", "data2.csv", "manifest.json")}
 
 
+def surface():
+    """The subcommands' names and help lines in order, and for the root
+    parser and each subcommand the fields of every argument in order."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    fields = ("option_strings", "dest", "metavar", "required", "default",
+              "help")
+    return {
+        "subcommands": [[a.dest, a.help] for a in sub._choices_actions],
+        "arguments": {
+            p.prog: [{f: getattr(a, f) for f in fields} for a in p._actions]
+            for p in (parser, *sub.choices.values())},
+    }
+
+
 RECORDED = (json.loads(GOLDEN.read_text(encoding="utf-8"))
             if GOLDEN.exists() else [])
 
@@ -243,6 +264,11 @@ def test_simulate_bytes_match_the_recording(tmp_path, monkeypatch):
     assert simulate_digests() == recorded["sha256"]
 
 
+def test_cli_surface_matches_the_recording():
+    recorded = json.loads(SURFACE_GOLDEN.read_text(encoding="utf-8"))
+    assert json.loads(json.dumps(surface())) == recorded
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
@@ -259,5 +285,8 @@ if __name__ == "__main__":
     SIMULATE_GOLDEN.write_text(
         json.dumps({"argv": SIMULATE_ARGV, "sha256": digests}, indent=1)
         + "\n", encoding="utf-8")
-    print(f"recorded {len(recorded)} cases in {GOLDEN} and "
-          f"{len(digests)} digests in {SIMULATE_GOLDEN}", file=sys.stderr)
+    SURFACE_GOLDEN.write_text(json.dumps(surface(), indent=1) + "\n",
+                              encoding="utf-8")
+    print(f"recorded {len(recorded)} cases in {GOLDEN}, "
+          f"{len(digests)} digests in {SIMULATE_GOLDEN} and the parser "
+          f"surface in {SURFACE_GOLDEN}", file=sys.stderr)

@@ -747,9 +747,9 @@ def _ranks(monkeypatch):
     """The ``top`` of every _dense_rank call, recorded as they are made."""
     tops, rank = [], estimate._dense_rank
 
-    def recorded(keys, top, *present):
+    def recorded(keys, top):
         tops.append(top)
-        return rank(keys, top, *present)
+        return rank(keys, top)
 
     monkeypatch.setattr(estimate, "_dense_rank", recorded)
     return tops

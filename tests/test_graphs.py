@@ -144,6 +144,14 @@ def test_topological_order_is_deterministic():
     assert g2.topological_order() == ("A", "B")
 
 
+def test_topological_order_breaks_ties_by_vertex_order():
+    """A and B are ready at first; D becomes ready when A is removed and C
+    when B is, yet C comes first, being earlier in vertex order.  A
+    first-in first-out queue of ready vertices would give (A, B, D, C)."""
+    g = CausalDag(vertices="ABCD", edges=[("A", "D"), ("B", "C")])
+    assert g.topological_order() == ("A", "B", "C", "D")
+
+
 def test_topological_order_respects_edges():
     g1, _ = PAIRS_1H[0]
     order = g1.topological_order()

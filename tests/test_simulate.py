@@ -183,6 +183,19 @@ def test_unchanged_edges_share_coefficients():
                 == pair.scm2.coefficients[edge]
 
 
+def test_sample_dataset_draws_noise_in_topological_order():
+    """Each vertex draws its n noise values in turn from one generator, in
+    the topological order (ties by vertex order): A, B, C, D here."""
+    dag = CausalDag(vertices="ABCD", edges=[("A", "D"), ("B", "C")])
+    scm = LinearScm(dag, coefficients={("A", "D"): 0.5, ("B", "C"): -0.75})
+    noise = np.random.default_rng(0)
+    a, b, c, d = (noise.standard_normal(4) for _ in "ABCD")
+    expected = np.column_stack([a, b, c + -0.75 * b, d + 0.5 * a])
+    data = sample_dataset(scm, 4, seed=0)
+    assert data.variable_names == ("A", "B", "C", "D")
+    assert np.array_equal(data.rows, expected)
+
+
 def test_sample_dataset_shape_order_and_determinism():
     pair = sample_compatible_pair(DG_1H, shared_order=True, seed=1)
     data = sample_dataset(pair.scm1, 100, seed=9)
