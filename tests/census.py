@@ -87,14 +87,15 @@ def classes(n, masks):
 
 def _queries(n):
     """Every ordered (x, y) and effect on n vertices, with two rows per
-    query over ``_all_dag_masks(n)``: each DAG's admissible family, and
-    whether the DAG has a path x -> y (total) or the edge x -> y (direct),
-    so that a query is NullEffect exactly when no compatible DAG has one."""
+    query over ``_all_dag_masks(n)``: each DAG's admissible family, both
+    effects' from one kernel call per (x, y), and whether the DAG has a
+    path x -> y (total) or the edge x -> y (direct), so that a query is
+    NullEffect exactly when no compatible DAG has one."""
     dags = _all_dag_masks(n)
-    keys = [(x, y, effect) for x in range(n) for y in range(n) if x != y
-            for effect in (TOTAL, DIRECT)]
-    families = np.stack([_admissible_families(n, dags, x, y, effect)
-                         for x, y, effect in keys])
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    keys = [(x, y, effect) for x, y in pairs for effect in (TOTAL, DIRECT)]
+    families = np.concatenate([_admissible_families(n, dags, x, y)
+                               for x, y in pairs])
     live = np.stack([~_is_dag(n, dags | 1 << (y * n + x)) if effect == TOTAL
                      else (dags >> (x * n + y) & 1).astype(bool)
                      for x, y, effect in keys])

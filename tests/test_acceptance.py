@@ -245,7 +245,8 @@ def test_closed_form_is_sound_on_five_vertices():
                         continue
                     audited += 1
                     families = _admissible_families(
-                        n, masks, index[x], index[y], effect)
+                        n, masks, index[x], index[y])[
+                            0 if effect == TOTAL else 1]
                     w = sum(1 << index[v] for v in verdict.adjustment_set)
                     assert np.all(families >> w & 1), (
                         f"{case}: W={verdict.adjustment_set} fails in "

@@ -40,6 +40,9 @@ from helpers import (
     is_compatible_pair,
 )
 
+# the row of each effect in the family kernel's result and family tables
+ROW = {TOTAL: 0, DIRECT: 1}
+
 
 def _edge_sets(dags):
     return {g.edges for g in dags}
@@ -544,9 +547,11 @@ def test_admissible_families_match_the_graph_criteria(n):
     masks.flags.writeable = False
     given = masks.tolist()
     for x, y in itertools.permutations(range(n), 2):
+        both = oracle._admissible_families(n, masks, x, y)
+        assert both.shape == (2, len(masks))
         for effect, accepts in ((TOTAL, back_door_admissible),
                                 (DIRECT, single_door_admissible)):
-            families = oracle._admissible_families(n, masks, x, y, effect)
+            families = both[ROW[effect]]
             assert families.dtype == np.int64
             for g, family in zip(dags, families.tolist(), strict=True):
                 assert _family_as_sets(names, family) == _admissible_family(
@@ -576,7 +581,7 @@ FAMILY_TABLE_DIGESTS = {
 def test_family_tables_of_every_dag_at_the_cap_match_recorded_digests():
     masks = oracle._all_dag_masks(5)
     for (x, y, effect), digest in FAMILY_TABLE_DIGESTS.items():
-        families = oracle._admissible_families(5, masks, x, y, effect)
+        families = oracle._admissible_families(5, masks, x, y)[ROW[effect]]
         assert hashlib.sha256(
             families.astype("<i8").tobytes()).hexdigest() == digest, \
             (x, y, effect)
@@ -590,7 +595,7 @@ def test_admissible_families_match_networkx_d_separation():
     for (xi, yi), effect in itertools.product(
             itertools.permutations(range(4), 2), (TOTAL, DIRECT)):
         x, y = names[xi], names[yi]
-        families = oracle._admissible_families(4, masks, xi, yi, effect)
+        families = oracle._admissible_families(4, masks, xi, yi)[ROW[effect]]
         for g, family in zip(dags, families.tolist(), strict=True):
             if effect == TOTAL:
                 pivot, cut = x, [e for e in g.edges if e[0] != x]
@@ -626,7 +631,7 @@ def test_oracle_memos_stay_bounded():
         oracle_total(d, "A", "D")
         oracle_direct(d, "A", "D")
     # every one of the 29,281 DAGs is compatible with the empty 5-vertex
-    # difference graph, so two queries fill two whole family tables
+    # difference graph, so the two queries fill a whole family table
     empty = DifferenceGraph(vertices=["A", "B", "C", "D", "E"])
     oracle_total(empty, "A", "B")
     oracle_direct(empty, "A", "B")
@@ -637,13 +642,11 @@ def test_oracle_memos_stay_bounded():
     assert oracle._compatible_masks.cache_info().currsize \
         == oracle.COMPATIBLE_MEMO_SIZE
     # one table per key, so the table memo never evicts
-    keys = [(n, x, y, effect)
+    keys = [(n, x, y)
             for n in range(oracle.VERTEX_CAP + 1)
-            for x, y in itertools.permutations(range(n), 2)
-            for effect in (TOTAL, DIRECT)]
+            for x, y in itertools.permutations(range(n), 2)]
     assert oracle._family_table.cache_info().maxsize == len(keys)
-    for effect in (TOTAL, DIRECT):
-        assert (oracle._family_table(5, 0, 1, effect) >= 0).all()
+    assert (oracle._family_table(5, 0, 1) >= 0).all()
 
 
 def test_families_a_query_reads_do_not_depend_on_earlier_queries():
@@ -661,10 +664,56 @@ def test_families_a_query_reads_do_not_depend_on_earlier_queries():
     oracle._family_table.cache_clear()
     for query, effect in queries:
         query(first, "A", "D", shared_order=True)
-        filled = oracle._family_table(4, 0, 3, effect)[slots] >= 0
+        filled = oracle._family_table(4, 0, 3)[ROW[effect]][slots] >= 0
         assert filled.any() and not filled.all()
     assert [query(second, "A", "D").as_dict() for query, _ in queries] \
         == cold
-    for _, effect in queries:
-        assert oracle._family_table(4, 0, 3, effect)[slots].tolist() \
-            == oracle._admissible_families(4, masks, 0, 3, effect).tolist()
+    assert oracle._family_table(4, 0, 3)[:, slots].tolist() \
+        == oracle._admissible_families(4, masks, 0, 3).tolist()
+
+
+def test_a_total_and_a_direct_query_share_one_family_kernel_call(
+        monkeypatch):
+    """One kernel call fills both effects' families, so a total and a
+    direct query on one D and (X, Y) make one call between them, in
+    either order, on 4- and 5-vertex D in both regimes.  A total
+    NullEffect implies a direct one (an edge x -> y is a path), so when
+    one query returns before the kernel it is the direct one, and the
+    total query makes the call; when both are NullEffect neither does.
+    Each verdict equals that of the same query on emptied caches."""
+    kernel = oracle._admissible_families
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(oracle, "_admissible_families", counted)
+    memos = [f for f in vars(oracle).values() if hasattr(f, "cache_info")]
+    queries = (oracle_total, oracle_direct)
+    rng = random.Random(32)
+    seen = set()
+    for n, graphs, pairs in ((4, 12, 12), (5, 3, 4)):
+        names = ("A", "B", "C", "D", "E")[:n]
+        edges = list(itertools.permutations(names, 2))
+        for _ in range(graphs):
+            d = DifferenceGraph(vertices=names,
+                                edges=rng.sample(edges, rng.randint(1, n)))
+            for shared in (False, True) if d.is_acyclic() else (False,):
+                for x, y in rng.sample(edges, pairs):
+                    cold = {}
+                    for query in queries:
+                        for memo in memos:
+                            memo.cache_clear()
+                        cold[query] = query(d, x, y, shared).as_dict()
+                    live = tuple(cold[query]["kind"] != NULL_EFFECT
+                                 for query in queries)
+                    seen.add(live)
+                    for order in (queries, queries[::-1]):
+                        oracle._family_table.cache_clear()
+                        calls.clear()
+                        for query in order:
+                            assert query(d, x, y, shared).as_dict() \
+                                == cold[query]
+                        assert len(calls) == any(live), (d, x, y, shared)
+    assert seen == {(True, True), (True, False), (False, False)}
