@@ -2,13 +2,14 @@
 
 Three estimators live here.  The discrete adjustment formula realizes
 P(y|do(x)) as a plug-in sum of empirical frequencies over the adjustment
-strata.  The partial regression coefficient realizes the linear direct
-effect as the coefficient of the exposure in an ordinary least-squares fit,
-computed through an SVD rather than normal equations.  `estimate_effect`
-applies a verdict to one dataset, choosing the estimator by the verdict's
-effect and kind.  `causal_change` applies it to two datasets independently
-(the same adjustment set works in both populations, which is what the
-identification step certified) and reports the difference.
+strata, and `marginal_table`, the null-effect table, realizes it as P-hat(y).
+The partial regression coefficient realizes the linear direct effect as the
+coefficient of the exposure in an ordinary least-squares fit, computed
+through an SVD rather than normal equations.  `estimate_effect` applies a
+verdict to one dataset, choosing the estimator by the verdict's effect and
+kind.  `causal_change` applies it to two datasets independently (the same
+adjustment set works in both populations, which is what the identification
+step certified) and reports the difference.
 
 Everything is a deterministic function of its inputs; there is no internal
 randomness anywhere.

@@ -11,10 +11,10 @@ Ancestor and descendant sets are REFLEXIVE throughout (a vertex is its own
 ancestor and descendant); parent and child sets are not.  Every decision
 procedure in the package is written against this convention.
 
-Graphs are immutable and safe to share across threads: a difference graph
-builds its parent and child lists on first use, and a race only builds equal
-lists twice.  All set-valued results are reported in vertex order, which is
-the order of first appearance (explicit declarations first, then edge
+Graphs are immutable and safe to share across threads: a graph builds its
+parent and child lists on first use, and a race only builds equal lists
+twice.  All set-valued results are reported in vertex order, which is the
+order of first appearance (explicit declarations first, then edge
 endpoints).  The edge-list parser reads ``a -> b`` lines over seen names,
 and ``node v`` lines, from their tokens alone.
 """
@@ -81,14 +81,15 @@ class _Digraph:
 
     def _build(self, index, edges):
         """Set the graph from ``index``, each checked vertex name mapped to
-        its position, and a set of ``edges`` between them, none a
-        self-loop.  The parent and child lists wait for first use."""
+        its position, and a set of ``edges`` between them, none a self-loop."""
         self._index = index
         self._vertices = tuple(index)
         self._edges = frozenset(edges)
 
-    def _link(self):
-        """Set ``_parents`` and ``_children`` (lists in vertex order)."""
+    def __getattr__(self, name):
+        """Set ``_parents`` and ``_children`` on the first read of either."""
+        if name not in ("_parents", "_children"):
+            return object.__getattribute__(self, name)
         heads = {v: [] for v in self._index}
         for tail, head in self._edges:
             heads[tail].append(head)
@@ -104,12 +105,7 @@ class _Digraph:
                 children[tail].append(head)
         # set only once complete, as another thread may read them then
         self._parents, self._children = parents, children
-
-    def __getattr__(self, name):
-        # reached only while a list is unset; a race builds equal ones
-        if name in ("_parents", "_children"):
-            self._link()
-        return object.__getattribute__(self, name)
+        return parents if name == "_parents" else children
 
     @property
     def vertices(self):
@@ -238,8 +234,7 @@ class _Digraph:
         <head>`` declares an edge (and implicitly declares its endpoints),
         ``#`` starts a comment.  Vertex order is file order of first
         appearance.  A line ``a -> b`` over two distinct seen names, and a
-        line ``node v``, are read from their tokens alone.  A difference
-        graph builds its parent and child lists on first use.
+        line ``node v``, are read from their tokens alone.
 
         Raises
         ------
@@ -328,7 +323,6 @@ class CausalDag(_Digraph):
 
     def _build(self, index, edges):
         super()._build(index, edges)
-        self._link()  # at once, as the acyclicity test needs the lists
         if not self.is_acyclic():
             parents = self._parents
             on_cycle = [v for v in self._vertices

@@ -79,10 +79,13 @@ graph of up to 4 vertices; at 5 vertices the search over-reports reach
 on a small share of pairs, and those verdicts come out NotIdentifiable
 where the oracle decides them.
 
-Verdicts carry the fired condition so output is self-explaining, and the
-effect they decide (TOTAL or DIRECT) so estimation can pick its
-estimator.  They serialize to a JSON document with fixed keys {kind,
-condition, adjustment_set, formula}.
+A verdict decides identification *by adjustment in every compatible DAG*,
+as the oracle does, not from P (Pearl 2009, Def. 3.2.3): D = {} on {A, B, C}
+with X = A and Y = B is NotIdentifiable, yet both DAGs of the oracle's
+witness give P(b).  Verdicts carry the fired condition so output is
+self-explaining, and the effect they decide (TOTAL or DIRECT) so estimation
+can pick its estimator.  They serialize to a JSON document with fixed keys
+{kind, condition, adjustment_set, formula}.
 """
 
 from collections import deque

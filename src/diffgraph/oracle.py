@@ -8,12 +8,13 @@ G2.  Under the shared-order assumption the pair must additionally admit one
 common topological order.
 
 This module enumerates every DAG that participates in some compatible pair
-and decides identifiability the slow, assumption-free way: the total effect
-is identifiable by adjustment exactly when one set W satisfies the back-door
-criterion relative to (X, Y) in every such DAG, and the direct effect when
-one W satisfies the single-door criterion everywhere.  Verdicts therefore
-serve as an independent oracle for the closed-form conditions, which is the
-whole point: the two must agree wherever the conditions are correct.
+and decides identification *by adjustment in every compatible DAG*, not
+from P (Pearl 2009, Def. 3.2.3): the total effect is identified exactly
+when one set W satisfies the back-door criterion relative to (X, Y) in
+every such DAG, and the direct effect when one W satisfies the single-door
+criterion everywhere.  So a witness need not show an effect unidentified:
+for D = {} on {A, B, C}, X = A and Y = B, the total effect's witness is the
+empty DAG and {B -> A}, and A is no cause of B in either, so both give P(b).
 
 Each query has one answer, which the oracle reads off without a choice.
 Call the sets W passing the criterion in a compatible DAG its *family*,

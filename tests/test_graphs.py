@@ -401,14 +401,15 @@ _PIECES = ("node", "A", "B", "A-", "->", "-", ">", "#", ",", " ", "\t",
 # mostly names, so that a text runs long enough to repeat them
 _WORDS = st.sampled_from(("A", "B", "A-", "node") * 6 + _PIECES)
 _GAPS = st.sampled_from(("", " ", "\t", "\u00a0", "  "))
+_COMMENTS = st.sampled_from(("", " ", "#", " # c"))
 _LINES = st.one_of(
     st.lists(st.sampled_from(_PIECES), max_size=3).map("".join),
     # edge- and node-shaped lines, which reach the token path once their
-    # names are seen
+    # names are seen, and the line rules with a comment
     st.builds("{}{}{}->{}{}{}".format, _GAPS, _WORDS, _GAPS, _GAPS, _WORDS,
-              st.sampled_from(("", " ", "#", " # c"))),
-    st.builds("{}node{}{}".format, _GAPS,
-              st.sampled_from((" ", "\t", "\u00a0")), _WORDS),
+              _COMMENTS),
+    st.builds("{}node{}{}{}".format, _GAPS,
+              st.sampled_from((" ", "\t", "\u00a0")), _WORDS, _COMMENTS),
 )
 _LINE_ENDS = st.sampled_from(("\n", "\r\n", "\r", "\x0b", "\x1c",
                               "\u2028"))
@@ -425,6 +426,7 @@ def _parse_outcome(parse, text):
 @settings(max_examples=500)
 @given(st.lists(st.tuples(_LINES, _LINE_ENDS), max_size=8))
 @example([("node A", "\n"), ("B -> A", "\n")])  # a new tail, a seen head
+@example([("node A # c", "\n"), ("node B#x", "\n")])  # commented nodes
 def test_parser_matches_the_line_rules(lines):
     """The token path reads every text as the format's line rules do: the
     same index in the same order and the same edges, or the same error on

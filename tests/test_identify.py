@@ -192,6 +192,20 @@ def test_verdicts_carry_their_effect():
         assert all("effect" not in v.as_dict() for v in total + direct)
 
 
+def test_verdicts_from_edges_alone_leave_a_parsed_graph_unlinked():
+    """A parsed difference graph builds its parent and child lists only
+    when a verdict reads them: general-regime verdicts decided from the
+    edge set leave both unset.  A causal DAG builds them at once, for its
+    acyclicity test."""
+    d = DifferenceGraph.from_edge_list("node X\nnode Y\nW -> Y\n")
+    q = _q(d)
+    assert identify_total(q).kind == NOT_IDENTIFIABLE
+    assert identify_direct(q).kind == NOT_IDENTIFIABLE
+    assert "_parents" not in vars(d) and "_children" not in vars(d)
+    g = CausalDag(edges=[("W", "Y")])
+    assert "_parents" in vars(g) and "_children" in vars(g)
+
+
 def _all_difference_dags(max_vertices=4):
     for n in range(2, max_vertices + 1):
         names = tuple(f"V{i}" for i in range(n))
